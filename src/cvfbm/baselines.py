@@ -93,12 +93,15 @@ class ThinPlateConfig:
 
 def default_smoothing_p(positions: np.ndarray) -> float:
     """Heuristic p = 1/(1 + h^3/6), h = mean nearest-neighbor spacing."""
+    # imported here: scipy.spatial costs a noticeable share of `import cvfbm`
+    from scipy.spatial import cKDTree
+
     pts = np.asarray(positions, dtype=float)
     if len(pts) < 2:
         return 1.0
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
-    np.fill_diagonal(d2, np.inf)
-    h = float(np.mean(np.sqrt(d2.min(axis=1))))
+    # k=2: the first hit is the point itself (positions are unique)
+    dist, _ = cKDTree(pts).query(pts, k=2)
+    h = float(np.mean(dist[:, 1]))
     return 1.0 / (1.0 + h**3 / 6.0)
 
 
@@ -110,14 +113,23 @@ def _phi(d2: np.ndarray) -> np.ndarray:
     return out
 
 
+def _phi_table(rows: int, cols: int) -> np.ndarray:
+    """phi at every grid offset: table[|dr|, |dc|] = phi(dr^2 + dc^2)."""
+    dr2 = np.arange(rows, dtype=float) ** 2
+    dc2 = np.arange(cols, dtype=float) ** 2
+    return _phi(dr2[:, None] + dc2[None, :])
+
+
 def thin_plate_coefficients(samples: SampleSet, cfg: ThinPlateConfig = ThinPlateConfig()):
     """Solve the smoothing-spline system; returns (c, d, p).
 
     The surface is f(x) = sum_j c_j phi(|x - x_j|) + d0 + d1*row + d2*col
     with [[K + rho*I, P], [P^T, 0]] [c; d] = [values; 0] and rho = (1-p)/p.
-    One complex solve covers both value channels (the matrix is real). The
-    side conditions sum(c) = 0, sum(c*row) = 0, sum(c*col) = 0 are rows of
-    the system itself.
+    The matrix is real, so one real solve with two right-hand sides (the real
+    and imaginary parts of the values) covers both channels. The side
+    conditions sum(c) = 0, sum(c*row) = 0, sum(c*col) = 0 are rows of the
+    system itself. K is looked up in the table of phi over grid offsets; the
+    squared offsets are exact integers, so the lookup equals phi(d2) exactly.
     """
     n = len(samples)
     if n < 3:
@@ -129,28 +141,39 @@ def thin_plate_coefficients(samples: SampleSet, cfg: ThinPlateConfig = ThinPlate
         raise ValueError("sample positions are collinear")
     p = cfg.p if cfg.p is not None else default_smoothing_p(pts)
     rho = (1.0 - p) / p
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
+    row, col = samples.positions.T
+    table = _phi_table(samples.rows, samples.cols)
     system = np.zeros((n + 3, n + 3))
-    system[:n, :n] = _phi(d2) + (rho + cfg.epsilon) * np.eye(n)
+    system[:n, :n] = table[np.abs(row[:, None] - row), np.abs(col[:, None] - col)]
+    np.fill_diagonal(system[:n, :n], rho + cfg.epsilon)
     system[:n, n:] = pblock
     system[n:, :n] = pblock.T
-    rhs = np.concatenate([samples.values, np.zeros(3, dtype=np.complex128)])
+    rhs = np.zeros((n + 3, 2))
+    rhs[:n, 0] = samples.values.real
+    rhs[:n, 1] = samples.values.imag
     sol = np.linalg.solve(system, rhs)
-    return sol[:n], sol[n:], p
+    coef = sol[:, 0] + 1j * sol[:, 1]
+    return coef[:n], coef[n:], p
 
 
 def thin_plate_reconstruct(samples: SampleSet, cfg: ThinPlateConfig = ThinPlateConfig()) -> np.ndarray:
     """Evaluate the fitted smoothing spline on the full grid."""
     c, d, _ = thin_plate_coefficients(samples, cfg)
-    pts = samples.positions.astype(float)
     rows, cols = samples.rows, samples.cols
+    # Samples sit on grid points, so sum_j c_j phi(x - x_j) is the linear
+    # convolution of the coefficient image with phi over the offsets
+    # (-rows, rows) x (-cols, cols), and phi takes only the rows x cols values
+    # of the offset table. On a 2*rows x 2*cols grid the circular convolution
+    # of the zero-padded image with the table wrapped to negative offsets
+    # (index 2*rows - k holds offset -k) equals that linear one, so one FFT
+    # product evaluates the whole grid.
+    kernel = np.zeros((2 * rows, 2 * cols))
+    table = _phi_table(rows, cols)
+    kernel[:rows, :cols] = table
+    kernel[rows + 1 :, :cols] = table[:0:-1]
+    kernel[:, cols + 1 :] = kernel[:, cols - 1 : 0 : -1]
+    coef_img = np.zeros((2 * rows, 2 * cols), dtype=np.complex128)
+    coef_img[samples.positions[:, 0], samples.positions[:, 1]] = c
+    conv = np.fft.ifft2(np.fft.fft2(coef_img) * np.fft.fft2(kernel))
     gr, gc = np.mgrid[0:rows, 0:cols]
-    grid = np.stack([gr.ravel(), gc.ravel()], axis=1).astype(float)
-    # evaluate in row blocks to keep the distance matrix modest
-    out = np.empty(rows * cols, dtype=np.complex128)
-    step = max(1, 2_000_000 // max(len(pts), 1))
-    for start in range(0, len(grid), step):
-        block = grid[start : start + step]
-        d2 = ((block[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
-        out[start : start + step] = _phi(d2) @ c + d[0] + block @ d[1:]
-    return out.reshape(rows, cols)
+    return conv[:rows, :cols] + (d[0] + d[1] * gr + d[2] * gc)

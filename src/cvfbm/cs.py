@@ -47,14 +47,28 @@ __all__ = [
 AUTO_LAMBDA_FACTOR = 1.5e-3
 
 
-def _grad(f: np.ndarray) -> np.ndarray:
-    """Periodic forward differences along rows and columns, stacked."""
-    return np.stack([np.roll(f, -1, axis=0) - f, np.roll(f, -1, axis=1) - f])
+def _grad(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Periodic forward differences along rows and columns, as out[0], out[1]."""
+    if out is None:
+        out = np.empty((2,) + f.shape, dtype=f.dtype)
+    np.subtract(f[1:], f[:-1], out=out[0, :-1])
+    np.subtract(f[:1], f[-1:], out=out[0, -1:])
+    np.subtract(f[:, 1:], f[:, :-1], out=out[1, :, :-1])
+    np.subtract(f[:, :1], f[:, -1:], out=out[1, :, -1:])
+    return out
 
 
-def _div(p: np.ndarray) -> np.ndarray:
-    """Negative adjoint of _grad (discrete divergence)."""
-    return (p[0] - np.roll(p[0], 1, axis=0)) + (p[1] - np.roll(p[1], 1, axis=1))
+def _div(p: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
+    """Negative adjoint of _grad (discrete divergence); work holds the column term."""
+    if out is None:
+        out = np.empty(p.shape[1:], dtype=p.dtype)
+    if work is None:
+        work = np.empty_like(out)
+    np.subtract(p[0, 1:], p[0, :-1], out=out[1:])
+    np.subtract(p[0, :1], p[0, -1:], out=out[:1])
+    np.subtract(p[1, :, 1:], p[1, :, :-1], out=work[:, 1:])
+    np.subtract(p[1, :, :1], p[1, :, -1:], out=work[:, :1])
+    return np.add(out, work, out=out)
 
 
 def tv(field) -> float:
@@ -68,16 +82,6 @@ def tv(field) -> float:
     return float(np.sum(np.sqrt(np.abs(g[0]) ** 2 + np.abs(g[1]) ** 2)))
 
 
-def tv_per_channel(field) -> float:
-    """Ablation variant: TV of the real and imaginary parts summed separately."""
-    f = as_field(field)
-    total = 0.0
-    for part in (f.real, f.imag):
-        g = _grad(part.astype(complex))
-        total += float(np.sum(np.sqrt(np.abs(g[0]) ** 2 + np.abs(g[1]) ** 2)))
-    return total
-
-
 def tv_denoise(field, weight: float, iters: int = 30, return_gap: bool = False):
     """Proximal map of weight*TV: minimize 0.5||u - field||^2 + weight*tv(u).
 
@@ -89,20 +93,38 @@ def tv_denoise(field, weight: float, iters: int = 30, return_gap: bool = False):
     f = as_field(field)
     if weight <= 0:
         raise ValueError("weight must be positive")
-    p = np.zeros((2,) + f.shape, dtype=np.complex128)
     tau = 0.125
+    scaled = f / weight
+    p = np.zeros((2,) + f.shape, dtype=np.complex128)
+    # buffers reused across iterations; each update below performs the same
+    # floating-point operations, in the same order, as
+    #   g = grad(div(p) - f/weight); mag = sqrt(|g0|^2 + |g1|^2)
+    #   p = (p + tau*g) / (1 + tau*mag)
+    g = np.empty_like(p)
+    v = np.empty_like(f)
+    work = np.empty_like(f)
+    mag = np.empty(f.shape)
+    sq = np.empty(f.shape)
     for _ in range(int(iters)):
-        g = _grad(_div(p) - f / weight)
-        mag = np.sqrt(np.abs(g[0]) ** 2 + np.abs(g[1]) ** 2)
-        p = (p + tau * g) / (1.0 + tau * mag)
-    u = f - weight * _div(p)
+        _div(p, out=v, work=work)
+        v -= scaled
+        _grad(v, out=g)
+        np.square(np.abs(g[0], out=mag), out=mag)
+        np.square(np.abs(g[1], out=sq), out=sq)
+        mag += sq
+        np.sqrt(mag, out=mag)
+        g *= tau
+        p += g
+        mag *= tau
+        mag += 1.0
+        p /= mag
+    div_p = _div(p, work=work)
+    u = f - weight * div_p
     if not return_gap:
         return u
     # primal value vs the dual value of the projected p
     primal = 0.5 * np.sum(np.abs(u - f) ** 2) + weight * tv(u)
-    dual = -0.5 * np.sum(np.abs(weight * _div(p)) ** 2) + weight * np.sum(
-        (_div(p) * np.conj(f)).real
-    )
+    dual = -0.5 * np.sum(np.abs(weight * div_p) ** 2) + weight * np.sum((div_p * np.conj(f)).real)
     gap = (primal - dual) / max(abs(primal), 1e-30)
     return u, float(gap)
 

@@ -1,8 +1,15 @@
 """Boxcar averaging and thin-plate smoothing spline reconstructions."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cvfbm
+from cvfbm import baselines
 from cvfbm import (
     BoxcarConfig,
     SampleSet,
@@ -11,6 +18,7 @@ from cvfbm import (
     default_smoothing_p,
     random_mask,
     subsample,
+    synthesize_cvfbm,
     thin_plate_coefficients,
     thin_plate_reconstruct,
 )
@@ -190,3 +198,67 @@ class TestThinPlate:
         pos = random_mask(20, 20, 50, seed=19)
         p = default_smoothing_p(pos)
         assert 0.0 < p <= 1.0
+
+
+def dense_thin_plate_field(samples, c, d):
+    """Reference evaluation: phi of every grid-to-sample distance, summed densely."""
+    pts = samples.positions.astype(float)
+    gr, gc = np.mgrid[0 : samples.rows, 0 : samples.cols]
+    grid = np.stack([gr.ravel(), gc.ravel()], axis=1).astype(float)
+    out = np.empty(len(grid), dtype=np.complex128)
+    step = max(1, 2_000_000 // len(pts))
+    for start in range(0, len(grid), step):
+        block = grid[start : start + step]
+        d2 = ((block[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
+        out[start : start + step] = baselines._phi(d2) @ c + d[0] + block @ d[1:]
+    return out.reshape(samples.rows, samples.cols)
+
+
+def brute_force_smoothing_p(positions):
+    """Reference heuristic: nearest-neighbour spacing from the full distance matrix."""
+    pts = np.asarray(positions, dtype=float)
+    if len(pts) < 2:
+        return 1.0
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
+    np.fill_diagonal(d2, np.inf)
+    h = float(np.mean(np.sqrt(d2.min(axis=1))))
+    return 1.0 / (1.0 + h**3 / 6.0)
+
+
+class TestThinPlateFastPaths:
+    @pytest.mark.parametrize("rows, cols, n", [(100, 100, 2000), (64, 200, 1500)])
+    def test_fft_evaluation_matches_dense_sum(self, rows, cols, n, monkeypatch):
+        # CV-fBm samples, the data the campaigns hand to the thin-plate fit
+        field = synthesize_cvfbm(0.8, rows, cols, 3)
+        s = subsample(field, random_mask(rows, cols, n, seed=4))
+        c, d, p = thin_plate_coefficients(s, ThinPlateConfig())
+        monkeypatch.setattr(baselines, "thin_plate_coefficients", lambda samples, cfg: (c, d, p))
+        fast = thin_plate_reconstruct(s)
+        ref = dense_thin_plate_field(s, c, d)
+        rms = np.sqrt(np.mean(np.abs(ref) ** 2))
+        assert np.max(np.abs(fast - ref)) <= 1e-9 * rms
+
+    def test_system_matrix_equals_phi_of_squared_distances(self):
+        s = make_samples(7, 11, random_mask(7, 11, 30, seed=5), np.ones(30))
+        r, c = s.positions[:, 0], s.positions[:, 1]
+        d2 = ((s.positions[:, None, :] - s.positions[None, :, :]).astype(float) ** 2).sum(-1)
+        table = baselines._phi_table(s.rows, s.cols)
+        assert np.array_equal(table[np.abs(r[:, None] - r), np.abs(c[:, None] - c)], baselines._phi(d2))
+
+    @pytest.mark.parametrize("n, seed", [(2, 0), (3, 1), (40, 2), (500, 3), (2000, 4)])
+    def test_default_p_equals_brute_force(self, n, seed):
+        pos = random_mask(100, 100, n, seed=seed)
+        assert default_smoothing_p(pos) == brute_force_smoothing_p(pos)
+
+    def test_default_p_with_tied_nearest_distances(self):
+        # a lattice: every point has two to four neighbours at the same distance
+        rr, cc = np.meshgrid(np.arange(0, 20, 2), np.arange(1, 30, 3), indexing="ij")
+        pos = np.stack([rr.ravel(), cc.ravel()], axis=1)
+        assert default_smoothing_p(pos) == brute_force_smoothing_p(pos)
+
+    def test_import_does_not_load_scipy_spatial(self):
+        src = str(Path(cvfbm.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, cvfbm; print('scipy.spatial' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
