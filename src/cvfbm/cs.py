@@ -47,26 +47,46 @@ __all__ = [
 AUTO_LAMBDA_FACTOR = 1.5e-3
 
 
+def _flat_view(a: np.ndarray) -> np.ndarray:
+    """``a`` as a 1D view; refuses a layout where reshape would silently copy."""
+    if not a.flags.c_contiguous:
+        raise ValueError("difference buffer must be C-contiguous")
+    return a.reshape(-1)
+
+
 def _grad(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Periodic forward differences along rows and columns, as out[0], out[1]."""
+    """Periodic forward differences along rows and columns, as out[0], out[1].
+
+    The column differences run as one contiguous subtraction over the
+    flattened field; the entries it puts in the last column pair a row end
+    with the next row's start, so the wrap column is written afterwards.
+    ``out`` must be C-contiguous; any layout of ``f`` is accepted.
+    """
     if out is None:
         out = np.empty((2,) + f.shape, dtype=f.dtype)
+    flat = np.ravel(f)
     np.subtract(f[1:], f[:-1], out=out[0, :-1])
     np.subtract(f[:1], f[-1:], out=out[0, -1:])
-    np.subtract(f[:, 1:], f[:, :-1], out=out[1, :, :-1])
+    np.subtract(flat[1:], flat[:-1], out=_flat_view(out[1])[:-1])
     np.subtract(f[:, :1], f[:, -1:], out=out[1, :, -1:])
     return out
 
 
 def _div(p: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
-    """Negative adjoint of _grad (discrete divergence); work holds the column term."""
+    """Negative adjoint of _grad (discrete divergence); work holds the column term.
+
+    As in _grad, the column term is one contiguous subtraction whose first
+    column is then rewritten with the wrap difference. ``work`` must be
+    C-contiguous; ``out`` and ``p`` may have any layout.
+    """
     if out is None:
         out = np.empty(p.shape[1:], dtype=p.dtype)
     if work is None:
-        work = np.empty_like(out)
+        work = np.empty(out.shape, dtype=out.dtype)
+    flat = np.ravel(p[1])
     np.subtract(p[0, 1:], p[0, :-1], out=out[1:])
     np.subtract(p[0, :1], p[0, -1:], out=out[:1])
-    np.subtract(p[1, :, 1:], p[1, :, :-1], out=work[:, 1:])
+    np.subtract(flat[1:], flat[:-1], out=_flat_view(work)[1:])
     np.subtract(p[1, :, :1], p[1, :, -1:], out=work[:, :1])
     return np.add(out, work, out=out)
 
@@ -96,13 +116,17 @@ def tv_denoise(field, weight: float, iters: int = 30, return_gap: bool = False):
     tau = 0.125
     scaled = f / weight
     p = np.zeros((2,) + f.shape, dtype=np.complex128)
-    # buffers reused across iterations; each update below performs the same
-    # floating-point operations, in the same order, as
+    # buffers reused across iterations; each update below gives the same
+    # values as
     #   g = grad(div(p) - f/weight); mag = sqrt(|g0|^2 + |g1|^2)
     #   p = (p + tau*g) / (1 + tau*mag)
+    # numpy divides a complex value by a real one as a complex division whose
+    # scale is the real reciprocal, so multiplying by 1/(1 + tau*mag) is the
+    # same rounding; for finite inputs only the sign of an exact zero differs
+    # C order whatever the layout of the input (_grad/_div need it)
     g = np.empty_like(p)
-    v = np.empty_like(f)
-    work = np.empty_like(f)
+    v = np.empty(f.shape, dtype=np.complex128)
+    work = np.empty(f.shape, dtype=np.complex128)
     mag = np.empty(f.shape)
     sq = np.empty(f.shape)
     for _ in range(int(iters)):
@@ -117,7 +141,8 @@ def tv_denoise(field, weight: float, iters: int = 30, return_gap: bool = False):
         p += g
         mag *= tau
         mag += 1.0
-        p /= mag
+        np.divide(1.0, mag, out=mag)
+        p *= mag
     div_p = _div(p, work=work)
     u = f - weight * div_p
     if not return_gap:
@@ -235,7 +260,10 @@ def tv_equality_reconstruct(
         g = _grad(e_bar)
         p = p + sigma * g
         mag = np.sqrt(np.abs(p[0]) ** 2 + np.abs(p[1]) ** 2)
-        p = p / np.maximum(1.0, mag)
+        # p / max(1, mag) as a multiply by the real reciprocal (see tv_denoise)
+        np.maximum(1.0, mag, out=mag)
+        np.divide(1.0, mag, out=mag)
+        p *= mag
         q = q + sigma * (op.forward(e_bar) - y)
         e_new = e - tau * (-_div(p) + op.adjoint(q))
         e_bar = 2.0 * e_new - e
@@ -312,35 +340,45 @@ def twist_reconstruct(
     op = _operator_for(mirrored)
     y = mirrored.values
 
-    lam = cfg.lam if cfg.lam is not None else AUTO_LAMBDA_FACTOR * float(np.abs(op.adjoint(y)).max())
+    x_old = op.adjoint(y)
+    lam = cfg.lam if cfg.lam is not None else AUTO_LAMBDA_FACTOR * float(np.abs(x_old).max())
     alpha, beta = _twist_weights(cfg)
 
-    def gamma(x):
-        return tv_denoise(x + op.adjoint(y - op.forward(x)), lam, iters=cfg.tv_inner_iters)
+    # every iterate carries its data residual r = y - A x, computed once and
+    # shared by its objective, the shrinkage step taken from it and the
+    # final diagnostics
+    def residual(x):
+        return y - op.forward(x)
 
-    def objective(x):
-        return 0.5 * float(np.sum(np.abs(y - op.forward(x)) ** 2)) + lam * tv(x)
+    def gamma(x, r):
+        return tv_denoise(x + op.adjoint(r), lam, iters=cfg.tv_inner_iters)
 
-    x_old = op.adjoint(y)
-    x = gamma(x_old)
-    objectives = [objective(x_old), objective(x)]
+    def objective(x, r):
+        return 0.5 * float(np.sum(np.abs(r) ** 2)) + lam * tv(x)
+
+    r_old = residual(x_old)
+    x = gamma(x_old, r_old)
+    r = residual(x)
+    objectives = [objective(x_old, r_old), objective(x, r)]
     if objectives[1] > objectives[0]:
         # the very first shrinkage step should not climb; keep the start
-        x = x_old
+        x, r = x_old, r_old
         objectives[1] = objectives[0]
     iterations = 1
     hit_tol = False
     for it in range(cfg.max_iters):
-        g = gamma(x)
+        g = gamma(x, r)
         x_new = (1.0 - alpha) * x_old + (alpha - beta) * x + beta * g
-        f_new = objective(x_new)
+        r_new = residual(x_new)
+        f_new = objective(x_new, r_new)
         if cfg.monotone and f_new > objectives[-1]:
             x_new = g
-            f_new = objective(x_new)
+            r_new = residual(x_new)
+            f_new = objective(x_new, r_new)
             if f_new > objectives[-1]:
                 break
         change = abs(objectives[-1] - f_new) / max(objectives[-1], 1e-30)
-        x_old, x = x, x_new
+        x_old, x, r = x, x_new, r_new
         objectives.append(f_new)
         iterations = it + 2
         if change < cfg.tol:
@@ -348,13 +386,13 @@ def twist_reconstruct(
             break
 
     field = take_quadrant(idft2(x))
-    gap = float(np.linalg.norm(x - gamma(x)) / max(np.linalg.norm(x), 1e-30))
+    gap = float(np.linalg.norm(x - gamma(x, r)) / max(np.linalg.norm(x), 1e-30))
     info = {
         "iterations": iterations,
         "lambda": float(lam),
         "objective": float(objectives[-1]),
         "objective_trace": objectives,
-        "data_residual": float(np.linalg.norm(op.forward(x) - y) / max(np.linalg.norm(y), 1e-30)),
+        "data_residual": float(np.linalg.norm(r) / max(np.linalg.norm(y), 1e-30)),
         "fixed_point_gap": gap,
         # certified convergence: the objective plateaued AND the iterate is a
         # fixed point of the shrinkage map to matching precision

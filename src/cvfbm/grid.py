@@ -22,8 +22,12 @@ __all__ = [
 
 
 def as_field(a) -> np.ndarray:
-    """Validate and return ``a`` as a finite 2D complex array."""
-    f = np.asarray(a, dtype=np.complex128)
+    """Validate and return ``a`` as a finite, C-ordered 2D complex array.
+
+    Input in another memory layout (a transpose, a Fortran-ordered array) is
+    copied into C order; C-ordered complex input is returned as is.
+    """
+    f = np.ascontiguousarray(a, dtype=np.complex128)
     if f.ndim != 2 or f.shape[0] < 1 or f.shape[1] < 1:
         raise ValueError(f"expected a 2D grid, got shape {f.shape}")
     if not np.all(np.isfinite(f.view(np.float64))):

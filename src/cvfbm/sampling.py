@@ -16,8 +16,6 @@ __all__ = [
     "random_mask",
     "subsample",
     "MeasurementOperator",
-    "coherence_spike_fourier",
-    "sample_count_bound",
 ]
 
 
@@ -92,41 +90,3 @@ class MeasurementOperator:
         if self.mode == "partial_fourier":
             z = dft2(z)
         return z
-
-    def norm_estimate(self, iters: int = 50, seed: int = 0) -> float:
-        """Largest singular value by power iteration on A^H A."""
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((self.rows, self.cols)) + 1j * rng.standard_normal((self.rows, self.cols))
-        x /= np.linalg.norm(x)
-        s = 0.0
-        for _ in range(iters):
-            z = self.adjoint(self.forward(x))
-            nz = np.linalg.norm(z)
-            if nz == 0:
-                return 0.0
-            x = z / nz
-            s = nz
-        return float(np.sqrt(s))
-
-
-def coherence_spike_fourier(n: int) -> float:
-    """Coherence between the spike basis and the unitary DFT basis on C^n.
-
-    sqrt(n) * max |<phi_k, psi_j>|; every unitary DFT entry has magnitude
-    1/sqrt(n), so the value is exactly 1: the most incoherent pair, which is
-    why random spatial samples of a Fourier-sparse signal work so well.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    return float(np.sqrt(n) * (1.0 / np.sqrt(n)))
-
-
-def sample_count_bound(c: float, mu: float, k: int, n: int) -> float:
-    """Advisory sample count C * mu^2 * K * log(N) for exact recovery.
-
-    A guideline, not a guarantee; callers supply the constant C and the
-    sparsity K.
-    """
-    if k < 1 or n < 2:
-        raise ValueError("need k >= 1 and n >= 2")
-    return float(c * mu**2 * k * np.log(n))

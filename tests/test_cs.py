@@ -4,21 +4,26 @@ import numpy as np
 import pytest
 
 from cvfbm import (
+    AUTO_LAMBDA_FACTOR,
     EqualitySolverConfig,
+    MeasurementOperator,
     TwistConfig,
     bp_reconstruct,
     compressibility_diagnostics,
     dft2,
     idft2,
+    mirror_extend_samples,
     random_mask,
     subsample,
     synthesize_cvfbm,
+    take_quadrant,
     tv,
     tv_denoise,
     tv_equality_reconstruct,
     twist_reconstruct,
 )
-from cvfbm.cs import _div, _grad
+from cvfbm import cs as cs_module
+from cvfbm.cs import _div, _grad, _twist_weights
 
 
 def random_field(rows, cols, seed=0):
@@ -83,8 +88,60 @@ def rolled_tv_denoise(f, weight, iters, return_gap=False):
     return u, float((primal - dual) / max(abs(primal), 1e-30))
 
 
+def rolled_twist_reconstruct(samples, cfg):
+    """Reference: the TwIST loop on the rolled TV code, recomputing y - A x at every use."""
+    mirrored = mirror_extend_samples(samples)
+    op = MeasurementOperator(mirrored.rows, mirrored.cols, mirrored.positions, mode="partial_fourier")
+    y = mirrored.values
+    lam = cfg.lam if cfg.lam is not None else AUTO_LAMBDA_FACTOR * float(np.abs(op.adjoint(y)).max())
+    alpha, beta = _twist_weights(cfg)
+
+    def gamma(x):
+        return rolled_tv_denoise(x + op.adjoint(y - op.forward(x)), lam, cfg.tv_inner_iters)
+
+    def objective(x):
+        return 0.5 * float(np.sum(np.abs(y - op.forward(x)) ** 2)) + lam * rolled_tv(x)
+
+    x_old = op.adjoint(y)
+    x = gamma(x_old)
+    objectives = [objective(x_old), objective(x)]
+    if objectives[1] > objectives[0]:
+        x = x_old
+        objectives[1] = objectives[0]
+    iterations = 1
+    for it in range(cfg.max_iters):
+        g = gamma(x)
+        x_new = (1.0 - alpha) * x_old + (alpha - beta) * x + beta * g
+        f_new = objective(x_new)
+        if cfg.monotone and f_new > objectives[-1]:
+            x_new = g
+            f_new = objective(x_new)
+            if f_new > objectives[-1]:
+                break
+        change = abs(objectives[-1] - f_new) / max(objectives[-1], 1e-30)
+        x_old, x = x, x_new
+        objectives.append(f_new)
+        iterations = it + 2
+        if change < cfg.tol:
+            break
+    info = {
+        "iterations": iterations,
+        "objective_trace": objectives,
+        "fixed_point_gap": float(np.linalg.norm(x - gamma(x)) / max(np.linalg.norm(x), 1e-30)),
+        "data_residual": float(np.linalg.norm(op.forward(x) - y) / max(np.linalg.norm(y), 1e-30)),
+    }
+    return take_quadrant(idft2(x)), info
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (5, 8), (200, 200)])
 class TestSliceDifferencesBitIdentical:
+    """The in-place TV code against the rolled reference, under array_equal.
+
+    The dual rescale multiplies by the real reciprocal where the reference
+    divides, so only the signs of exact zeros may differ; array_equal (and
+    float ==) treats -0.0 and 0.0 as equal, and every value must match.
+    """
+
     def test_grad_and_div(self, shape):
         f = random_field(*shape, seed=20)
         p = np.stack([random_field(*shape, seed=21), random_field(*shape, seed=22)])
@@ -102,6 +159,36 @@ class TestSliceDifferencesBitIdentical:
         u_ref, gap_ref = rolled_tv_denoise(f, 0.3, 12, return_gap=True)
         assert np.array_equal(u, u_ref)
         assert gap == gap_ref
+
+    def test_fortran_ordered_input(self, shape):
+        f = np.asfortranarray(random_field(*shape, seed=27))
+        p = np.asfortranarray(np.stack([random_field(*shape, seed=28), random_field(*shape, seed=29)]))
+        assert np.array_equal(_grad(f), rolled_grad(f))
+        assert np.array_equal(_div(p), rolled_div(p))
+        assert np.array_equal(_div(p, out=np.empty(shape, complex, order="F")), rolled_div(p))
+        assert tv(f) == rolled_tv(f)
+        u, gap = tv_denoise(f, 0.3, iters=12, return_gap=True)
+        u_ref, gap_ref = rolled_tv_denoise(f, 0.3, 12, return_gap=True)
+        assert np.array_equal(u, u_ref)
+        assert gap == gap_ref
+        assert np.array_equal(tv_denoise(f.T, 0.3, iters=12), rolled_tv_denoise(f.T, 0.3, 12))
+
+    def test_exact_zero_inputs(self, shape):
+        rows, cols = shape
+        constant = np.full(shape, 1.5 - 0.5j)
+        real = random_field(rows, cols, seed=25).real.astype(complex)
+        holed = random_field(rows, cols, seed=26)
+        holed[rows // 2, :] = 0.0
+        holed[:, cols // 2] = 0.0
+        for f in (constant, real, holed):
+            p = np.stack([f, 1j * f])
+            assert np.array_equal(_grad(f), rolled_grad(f))
+            assert np.array_equal(_div(p), rolled_div(p))
+            assert tv(f) == rolled_tv(f)
+            u, gap = tv_denoise(f, 0.3, iters=12, return_gap=True)
+            u_ref, gap_ref = rolled_tv_denoise(f, 0.3, 12, return_gap=True)
+            assert np.array_equal(u, u_ref)
+            assert gap == gap_ref
 
 
 class TestTvDenoise:
@@ -210,6 +297,72 @@ class TestBasisPursuit:
             bp_reconstruct(s)
 
 
+def test_non_contiguous_difference_buffer_refused():
+    f = random_field(5, 8, seed=30)
+    p = np.stack([f, random_field(5, 8, seed=31)])
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _div(p, work=np.empty((5, 8), complex, order="F"))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _grad(f, out=np.empty((2, 5, 8), complex, order="F"))
+
+
+def rolled_tv_equality_reconstruct(samples, cfg):
+    """Reference: the equality-TV loop on the rolled TV code, clipping by division."""
+    op = MeasurementOperator(samples.rows, samples.cols, samples.positions, mode="partial_fourier")
+    y = samples.values
+    y_norm = max(np.linalg.norm(y), 1e-30)
+    tau = cfg.penalty / 3.0
+    sigma = 1.0 / (3.0 * cfg.penalty)
+    e = op.adjoint(y)
+    e_bar = e.copy()
+    p = np.zeros((2,) + e.shape, dtype=np.complex128)
+    q = np.zeros(len(y), dtype=np.complex128)
+    iterations = cfg.max_iters
+    for it in range(cfg.max_iters):
+        p = p + sigma * rolled_grad(e_bar)
+        mag = np.sqrt(np.abs(p[0]) ** 2 + np.abs(p[1]) ** 2)
+        p = p / np.maximum(1.0, mag)
+        q = q + sigma * (op.forward(e_bar) - y)
+        e_new = e - tau * (-rolled_div(p) + op.adjoint(q))
+        e_bar = 2.0 * e_new - e
+        step = np.linalg.norm(e_new - e)
+        e = e_new
+        if it % 25 == 24:
+            primal = np.linalg.norm(op.forward(e) - y) / y_norm
+            if primal <= cfg.primal_tol and step <= cfg.dual_tol * max(np.linalg.norm(e), 1e-30):
+                iterations = it + 1
+                break
+    e = e - op.adjoint(op.forward(e) - y)
+    residual = np.linalg.norm(op.forward(e) - y) / y_norm
+    info = {"iterations": iterations, "objective": rolled_tv(e), "constraint_residual": float(residual)}
+    return idft2(e), info
+
+
+class TestTvEqualityBitIdentical:
+    """The reciprocal-multiply clip against p / max(1, |p|), under array_equal."""
+
+    @pytest.mark.parametrize("size, n, iters", [(16, 120, 60), (32, 300, 80)])
+    def test_matches_reference_loop(self, size, n, iters):
+        f = synthesize_cvfbm(0.6, size, size, 12)
+        s = subsample(f, random_mask(size, size, n, seed=5))
+        cfg = EqualitySolverConfig(max_iters=iters)
+        out, info = tv_equality_reconstruct(s, cfg)
+        out_ref, info_ref = rolled_tv_equality_reconstruct(s, cfg)
+        assert np.array_equal(out, out_ref)
+        assert info == info_ref
+
+    def test_clip_step_on_random_duals(self):
+        rng = np.random.default_rng(13)
+        p = rng.standard_normal((2, 40, 40)) + 1j * rng.standard_normal((2, 40, 40))
+        p[:, :5] *= 1e-3  # inside the unit ball: max(1, |p|) = 1
+        p[:, 5:7] = 0.0
+        mag = np.sqrt(np.abs(p[0]) ** 2 + np.abs(p[1]) ** 2)
+        ref = p / np.maximum(1.0, mag)
+        np.maximum(1.0, mag, out=mag)
+        np.divide(1.0, mag, out=mag)
+        assert np.array_equal(p * mag, ref)
+
+
 class TestTvEquality:
     def test_full_sampling_reproduces_field(self):
         f = random_field(8, 8, seed=10)
@@ -294,6 +447,51 @@ class TestTwist:
         out, info = twist_reconstruct(s, TwistConfig(max_iters=30, monotone=False))
         assert out.shape == (16, 16)
         assert len(info["objective_trace"]) >= 2
+
+
+class TestTwistBitIdentical:
+    """twist_reconstruct against the reference loop: same field, same trace."""
+
+    @pytest.mark.parametrize(
+        "size, n, cfg",
+        [
+            (32, 300, TwistConfig(max_iters=60)),
+            (32, 300, TwistConfig(max_iters=60, monotone=False)),
+            (100, 1000, TwistConfig(max_iters=12)),
+        ],
+    )
+    def test_matches_reference_loop(self, size, n, cfg):
+        f = synthesize_cvfbm(0.8, size, size, 27)
+        s = subsample(f, random_mask(size, size, n, seed=12))
+        out, info = twist_reconstruct(s, cfg)
+        out_ref, info_ref = rolled_twist_reconstruct(s, cfg)
+        assert np.array_equal(out, out_ref)
+        for key in ("iterations", "objective_trace", "fixed_point_gap", "data_residual"):
+            assert info[key] == info_ref[key], key
+
+    @pytest.mark.parametrize("monotone", [True, False])
+    def test_one_forward_per_evaluated_iterate(self, monkeypatch, monotone):
+        # every iterate whose objective is taken gets exactly one y - A x; a
+        # rejected two-step update in monotone mode is a second such iterate
+        counts = {"forward": 0, "tv": 0}
+        forward, tv_orig = MeasurementOperator.forward, cs_module.tv
+
+        def counted_forward(self, x):
+            counts["forward"] += 1
+            return forward(self, x)
+
+        def counted_tv(x):
+            counts["tv"] += 1
+            return tv_orig(x)
+
+        monkeypatch.setattr(MeasurementOperator, "forward", counted_forward)
+        monkeypatch.setattr(cs_module, "tv", counted_tv)
+        f = synthesize_cvfbm(0.8, 32, 32, 28)
+        s = subsample(f, random_mask(32, 32, 300, seed=13))
+        _, info = twist_reconstruct(s, TwistConfig(max_iters=60, monotone=monotone))
+        assert counts["forward"] == counts["tv"]
+        if not monotone:
+            assert counts["forward"] <= info["iterations"] + 3
 
 
 class TestCompressibility:

@@ -186,3 +186,11 @@ class TestAsField:
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError):
             as_field(np.ones(5, dtype=complex))
+
+    def test_any_layout_returned_in_c_order(self):
+        f = np.arange(12, dtype=float).reshape(3, 4) * (1 - 2j)
+        for a in (f.T, np.asfortranarray(f), f[:, ::2]):
+            out = as_field(a)
+            assert out.flags.c_contiguous
+            assert np.array_equal(out, a)
+        assert as_field(f) is f

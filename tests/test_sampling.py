@@ -3,10 +3,8 @@ import pytest
 
 from cvfbm import (
     MeasurementOperator,
-    coherence_spike_fourier,
     dft2,
     random_mask,
-    sample_count_bound,
     subsample,
 )
 
@@ -114,11 +112,6 @@ class TestMeasurementOperator:
         y = rng.normal(size=30) + 1j * rng.normal(size=30)
         assert np.max(np.abs(op.forward(op.adjoint(y)) - y)) < 1e-12
 
-    def test_unit_operator_norm(self):
-        mask = random_mask(16, 16, 60, seed=5)
-        op = MeasurementOperator(16, 16, mask, mode="partial_fourier")
-        assert op.norm_estimate(seed=0) == pytest.approx(1.0, abs=1e-6)
-
     def test_dimension_mismatch_rejected(self):
         op = MeasurementOperator(4, 4, random_mask(4, 4, 5, seed=0))
         with pytest.raises(ValueError):
@@ -126,26 +119,3 @@ class TestMeasurementOperator:
         with pytest.raises(ValueError):
             op.adjoint(np.ones(4, dtype=complex))
 
-
-class TestCoherence:
-    @pytest.mark.parametrize("n", [4, 16, 64])
-    def test_spike_fourier_coherence_is_one(self, n):
-        assert coherence_spike_fourier(n) == pytest.approx(1.0)
-
-    def test_matches_brute_force(self):
-        # max_{k,j} sqrt(N) |<spike_k, fourier_j>| with unitary DFT columns
-        for n in (4, 8, 16):
-            dft = np.fft.fft(np.eye(n)) / np.sqrt(n)
-            mu = np.sqrt(n) * np.max(np.abs(dft))
-            assert coherence_spike_fourier(n) == pytest.approx(mu, rel=1e-12)
-
-
-class TestSampleCountBound:
-    def test_formula(self):
-        assert sample_count_bound(c=1.0, mu=1.0, k=10, n=1024) == pytest.approx(
-            10 * np.log(1024)
-        )
-
-    def test_scales_with_coherence_squared(self):
-        base = sample_count_bound(c=2.0, mu=1.0, k=5, n=256)
-        assert sample_count_bound(c=2.0, mu=3.0, k=5, n=256) == pytest.approx(9 * base)
