@@ -12,8 +12,10 @@ constraint projections for free:
   the data constraints, via a primal-dual splitting with a final exact
   projection.
 * ``twist_reconstruct`` runs the two-step iterative shrinkage scheme on the
-  penalized objective 0.5*||y - A E||^2 + lambda*TV(E), after mirror-extending
-  the samples so the solve happens on a periodic 2M x 2N grid.
+  penalized objective 0.5*||y - A E||^2 + lambda*TV(E). A periodic field is
+  solved on its own M x N grid; free-boundary input is first mirror-extended
+  so the solve happens on a periodic 2M x 2N grid. The campaigns take the
+  choice from the spec's ``synthesis.periodic``.
 
 TV here is measured on the Fourier coefficients, not the spatial field: the
 smoother the field, the more its spectrum concentrates, and a concentrated
@@ -209,6 +211,7 @@ def bp_reconstruct(
     z = op.adjoint(y)
     u = np.zeros_like(z)
     iterations = cfg.max_iters
+    converged = False
     for it in range(cfg.max_iters):
         e = project(z - u)
         z_new = _soft(e + u, 1.0 / rho)
@@ -219,11 +222,14 @@ def bp_reconstruct(
         scale = max(np.linalg.norm(z), 1e-30)
         if primal <= cfg.primal_tol * scale and dual <= cfg.dual_tol * scale:
             iterations = it + 1
+            converged = True
             break
     e_star = project(z)
     residual = np.linalg.norm(op.forward(e_star) - y) / max(y_norm, 1e-30)
     info = {
         "iterations": iterations,
+        # True only when the tolerance test ended the loop, not at max_iters
+        "converged": converged,
         "objective": float(np.sum(np.abs(e_star))),
         "constraint_residual": float(residual),
     }
@@ -256,6 +262,7 @@ def tv_equality_reconstruct(
     p = np.zeros((2,) + e.shape, dtype=np.complex128)
     q = np.zeros(len(y), dtype=np.complex128)
     iterations = cfg.max_iters
+    converged = False
     for it in range(cfg.max_iters):
         g = _grad(e_bar)
         p = p + sigma * g
@@ -273,11 +280,14 @@ def tv_equality_reconstruct(
             primal = np.linalg.norm(op.forward(e) - y) / y_norm
             if primal <= cfg.primal_tol and step <= cfg.dual_tol * max(np.linalg.norm(e), 1e-30):
                 iterations = it + 1
+                converged = True
                 break
     e = e - op.adjoint(op.forward(e) - y)
     residual = np.linalg.norm(op.forward(e) - y) / y_norm
     info = {
         "iterations": iterations,
+        # True only when the tolerance test ended the loop, not at max_iters
+        "converged": converged,
         "objective": tv(e),
         "constraint_residual": float(residual),
     }
@@ -324,21 +334,26 @@ def _twist_weights(cfg: TwistConfig) -> tuple[float, float]:
 def twist_reconstruct(
     samples: SampleSet,
     cfg: TwistConfig = TwistConfig(),
+    *,
+    periodic: bool = False,
 ):
-    """Two-step iterative shrinkage on the mirrored grid; returns the quadrant.
+    """Two-step iterative shrinkage; returns the M x N field.
 
-    The samples are mirror-extended to a 2M x 2N grid so the Fourier-domain
-    unknown sees periodic data. Each step applies the TV proximal map to a
-    gradient step on the data term, then combines the last two iterates with
-    the two-step weights. In monotone mode a step that would increase the
-    objective is replaced by the plain shrinkage step (alpha = beta = 1); if
-    that still increases the objective the iteration stops.
+    The Fourier-domain unknown assumes the data wrap around. With
+    ``periodic=True`` the samples come from a periodic field and the solve
+    runs on their own M x N grid. Otherwise they are mirror-extended to a
+    2M x 2N grid, which does wrap, and the top-left quadrant is returned.
+    Each step applies the TV proximal map to a gradient step on the data
+    term, then combines the last two iterates with the two-step weights. In
+    monotone mode a step that would increase the objective is replaced by the
+    plain shrinkage step (alpha = beta = 1); if that still increases the
+    objective the iteration stops.
     """
     if len(samples) == 0:
         raise ValueError("no samples")
-    mirrored = mirror_extend_samples(samples)
-    op = _operator_for(mirrored)
-    y = mirrored.values
+    solved = samples if periodic else mirror_extend_samples(samples)
+    op = _operator_for(solved)
+    y = solved.values
 
     x_old = op.adjoint(y)
     lam = cfg.lam if cfg.lam is not None else AUTO_LAMBDA_FACTOR * float(np.abs(x_old).max())
@@ -366,6 +381,8 @@ def twist_reconstruct(
         objectives[1] = objectives[0]
     iterations = 1
     hit_tol = False
+    # gamma(x, r) of the final iterate, when the loop has already taken it
+    g_final = None
     for it in range(cfg.max_iters):
         g = gamma(x, r)
         x_new = (1.0 - alpha) * x_old + (alpha - beta) * x + beta * g
@@ -376,6 +393,7 @@ def twist_reconstruct(
             r_new = residual(x_new)
             f_new = objective(x_new, r_new)
             if f_new > objectives[-1]:
+                g_final = g
                 break
         change = abs(objectives[-1] - f_new) / max(objectives[-1], 1e-30)
         x_old, x, r = x, x_new, r_new
@@ -385,8 +403,10 @@ def twist_reconstruct(
             hit_tol = True
             break
 
-    field = take_quadrant(idft2(x))
-    gap = float(np.linalg.norm(x - gamma(x, r)) / max(np.linalg.norm(x), 1e-30))
+    field = idft2(x) if periodic else take_quadrant(idft2(x))
+    if g_final is None:
+        g_final = gamma(x, r)
+    gap = float(np.linalg.norm(x - g_final) / max(np.linalg.norm(x), 1e-30))
     info = {
         "iterations": iterations,
         "lambda": float(lam),

@@ -311,7 +311,7 @@ def _reconstruct(method: str, samples: SampleSet, spec: ExperimentSpec):
     if method == "tp":
         return thin_plate_reconstruct(samples, spec.thin_plate), 0
     if method == "cs-twist":
-        field, info = twist_reconstruct(samples, spec.twist)
+        field, info = twist_reconstruct(samples, spec.twist, periodic=spec.synthesis.periodic)
         return field, info["iterations"]
     if method == "cs-tv":
         field, info = tv_equality_reconstruct(samples, spec.equality)

@@ -24,6 +24,7 @@ from cvfbm import (
 )
 from cvfbm import cs as cs_module
 from cvfbm.cs import _div, _grad, _twist_weights
+from cvfbm.harness import _cell_mask, _cell_truth, table1_spec
 
 
 def random_field(rows, cols, seed=0):
@@ -88,11 +89,11 @@ def rolled_tv_denoise(f, weight, iters, return_gap=False):
     return u, float((primal - dual) / max(abs(primal), 1e-30))
 
 
-def rolled_twist_reconstruct(samples, cfg):
+def rolled_twist_reconstruct(samples, cfg, periodic=False):
     """Reference: the TwIST loop on the rolled TV code, recomputing y - A x at every use."""
-    mirrored = mirror_extend_samples(samples)
-    op = MeasurementOperator(mirrored.rows, mirrored.cols, mirrored.positions, mode="partial_fourier")
-    y = mirrored.values
+    solved = samples if periodic else mirror_extend_samples(samples)
+    op = MeasurementOperator(solved.rows, solved.cols, solved.positions, mode="partial_fourier")
+    y = solved.values
     lam = cfg.lam if cfg.lam is not None else AUTO_LAMBDA_FACTOR * float(np.abs(op.adjoint(y)).max())
     alpha, beta = _twist_weights(cfg)
 
@@ -130,7 +131,7 @@ def rolled_twist_reconstruct(samples, cfg):
         "fixed_point_gap": float(np.linalg.norm(x - gamma(x)) / max(np.linalg.norm(x), 1e-30)),
         "data_residual": float(np.linalg.norm(op.forward(x) - y) / max(np.linalg.norm(y), 1e-30)),
     }
-    return take_quadrant(idft2(x)), info
+    return (idft2(x) if periodic else take_quadrant(idft2(x))), info
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (5, 8), (200, 200)])
@@ -281,6 +282,26 @@ class TestBasisPursuit:
         zero_fill[mask[:, 0], mask[:, 1]] = s.values
         assert info["objective"] <= np.sum(np.abs(dft2(zero_fill))) + 1e-9
 
+    def test_converged_when_tolerance_met(self):
+        # acceptance 4's 3-sparse 16x16 setup meets the tolerances well
+        # before the iteration cap
+        rng = np.random.default_rng(0)
+        spectrum = np.zeros(256, dtype=complex)
+        support = rng.choice(256, size=3, replace=False)
+        spectrum[support] = rng.normal(size=3) + 1j * rng.normal(size=3)
+        truth = idft2(spectrum.reshape(16, 16))
+        cfg = EqualitySolverConfig()
+        _, info = bp_reconstruct(subsample(truth, random_mask(16, 16, 64, seed=1000)), cfg)
+        assert info["converged"] is True
+        assert info["iterations"] < cfg.max_iters
+
+    def test_not_converged_at_cap(self):
+        f = random_field(16, 16, seed=40)
+        cfg = EqualitySolverConfig(max_iters=3)
+        _, info = bp_reconstruct(subsample(f, random_mask(16, 16, 64, seed=41)), cfg)
+        assert info["converged"] is False
+        assert info["iterations"] == cfg.max_iters
+
     def test_large_grid_guarded(self):
         f = random_field(65, 65, seed=9)
         s = subsample(f, random_mask(65, 65, 50, seed=2))
@@ -318,6 +339,7 @@ def rolled_tv_equality_reconstruct(samples, cfg):
     p = np.zeros((2,) + e.shape, dtype=np.complex128)
     q = np.zeros(len(y), dtype=np.complex128)
     iterations = cfg.max_iters
+    converged = False
     for it in range(cfg.max_iters):
         p = p + sigma * rolled_grad(e_bar)
         mag = np.sqrt(np.abs(p[0]) ** 2 + np.abs(p[1]) ** 2)
@@ -331,10 +353,16 @@ def rolled_tv_equality_reconstruct(samples, cfg):
             primal = np.linalg.norm(op.forward(e) - y) / y_norm
             if primal <= cfg.primal_tol and step <= cfg.dual_tol * max(np.linalg.norm(e), 1e-30):
                 iterations = it + 1
+                converged = True
                 break
     e = e - op.adjoint(op.forward(e) - y)
     residual = np.linalg.norm(op.forward(e) - y) / y_norm
-    info = {"iterations": iterations, "objective": rolled_tv(e), "constraint_residual": float(residual)}
+    info = {
+        "iterations": iterations,
+        "converged": converged,
+        "objective": rolled_tv(e),
+        "constraint_residual": float(residual),
+    }
     return idft2(e), info
 
 
@@ -364,6 +392,16 @@ class TestTvEqualityBitIdentical:
 
 
 class TestTvEquality:
+    def test_default_table1_cell_not_converged(self):
+        # the default table1 cell (h=0.8, half sampling, repeat 0) runs to
+        # the iteration cap, and the info says so
+        spec = table1_spec()
+        truth, _ = _cell_truth(spec, "paired", spec.hurst_values.index(0.8), 0)
+        samples = subsample(truth, _cell_mask(spec, 0, 0))
+        _, info = tv_equality_reconstruct(samples, spec.equality)
+        assert info["iterations"] == spec.equality.max_iters
+        assert info["converged"] is False
+
     def test_full_sampling_reproduces_field(self):
         f = random_field(8, 8, seed=10)
         s = subsample(f, random_mask(8, 8, 64, seed=3))
@@ -452,6 +490,7 @@ class TestTwist:
 class TestTwistBitIdentical:
     """twist_reconstruct against the reference loop: same field, same trace."""
 
+    @pytest.mark.parametrize("periodic", [False, True])
     @pytest.mark.parametrize(
         "size, n, cfg",
         [
@@ -460,11 +499,11 @@ class TestTwistBitIdentical:
             (100, 1000, TwistConfig(max_iters=12)),
         ],
     )
-    def test_matches_reference_loop(self, size, n, cfg):
+    def test_matches_reference_loop(self, size, n, cfg, periodic):
         f = synthesize_cvfbm(0.8, size, size, 27)
         s = subsample(f, random_mask(size, size, n, seed=12))
-        out, info = twist_reconstruct(s, cfg)
-        out_ref, info_ref = rolled_twist_reconstruct(s, cfg)
+        out, info = twist_reconstruct(s, cfg, periodic=periodic)
+        out_ref, info_ref = rolled_twist_reconstruct(s, cfg, periodic=periodic)
         assert np.array_equal(out, out_ref)
         for key in ("iterations", "objective_trace", "fixed_point_gap", "data_residual"):
             assert info[key] == info_ref[key], key
@@ -492,6 +531,59 @@ class TestTwistBitIdentical:
         assert counts["forward"] == counts["tv"]
         if not monotone:
             assert counts["forward"] <= info["iterations"] + 3
+
+    def test_monotone_break_reuses_last_prox(self, monkeypatch):
+        # the loop takes one prox per pass plus one at the start; a solve
+        # that ends on the monotone break already holds the prox of its final
+        # iterate, so the fixed-point gap costs no further tv_denoise
+        calls = {"tv_denoise": 0}
+        tv_denoise_orig = cs_module.tv_denoise
+
+        def counted_tv_denoise(*args, **kwargs):
+            calls["tv_denoise"] += 1
+            return tv_denoise_orig(*args, **kwargs)
+
+        monkeypatch.setattr(cs_module, "tv_denoise", counted_tv_denoise)
+        cfg = TwistConfig(max_iters=500)
+        f = synthesize_cvfbm(0.8, 32, 32, 23)
+        s = subsample(f, random_mask(32, 32, 300, seed=23))
+        out, info = twist_reconstruct(s, cfg)
+        trace = info["objective_trace"]
+        last_change = abs(trace[-2] - trace[-1]) / trace[-2]
+        # neither the cap nor the tolerance ended this solve: the guard did
+        assert info["iterations"] < cfg.max_iters + 1
+        assert last_change >= cfg.tol
+        assert calls["tv_denoise"] == info["iterations"] + 1
+        out_ref, info_ref = rolled_twist_reconstruct(s, cfg)
+        assert np.array_equal(out, out_ref)
+        assert info["fixed_point_gap"] == info_ref["fixed_point_gap"]
+
+
+class TestTwistNativeGrid:
+    """periodic=True solves on the samples' own grid, with no mirroring."""
+
+    def test_no_mirror_and_native_shape(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the native path mirrored its samples")
+
+        monkeypatch.setattr(cs_module, "mirror_extend_samples", refuse)
+        monkeypatch.setattr(cs_module, "take_quadrant", refuse)
+        f = synthesize_cvfbm(0.8, 24, 40, 29)
+        s = subsample(f, random_mask(24, 40, 300, seed=14))
+        out, info = twist_reconstruct(s, TwistConfig(max_iters=20), periodic=True)
+        assert out.shape == (24, 40)
+        assert np.isfinite(out).all()
+        assert info["iterations"] >= 1
+
+    def test_full_sampling_small_lambda_identity(self):
+        rng = np.random.default_rng(123)
+        truth = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        full = np.argwhere(np.ones((12, 12), dtype=bool))
+        recon, _ = twist_reconstruct(
+            subsample(truth, full), TwistConfig(lam=1e-10, max_iters=60), periodic=True
+        )
+        rel = np.linalg.norm(recon - truth) / np.linalg.norm(truth)
+        assert rel < 1e-6
 
 
 class TestCompressibility:

@@ -8,16 +8,21 @@ from cvfbm import (
     ExperimentSpec,
     ResultRow,
     SynthesisOptions,
+    TwistConfig,
     derive_seed,
     emit_figure_data,
     idft2,
     mean_table,
+    rmse,
     run_table1,
     run_table2,
+    snr_db,
     spec_from_json,
     spec_to_json,
+    subsample,
     table1_spec,
     table2_spec,
+    twist_reconstruct,
     write_mean_csv,
     write_results_csv,
 )
@@ -292,6 +297,32 @@ class TestCampaign:
         )
         rows = run_table2(spec)
         assert rows[0].iterations > 0
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_twist_rows_follow_synthesis_periodicity(self, periodic):
+        # the campaign solves cs-twist on the native grid exactly when the
+        # spec synthesizes periodic fields
+        spec = tiny_spec(
+            grid=(16, 16),
+            hurst_values=(0.8,),
+            sample_counts=(80,),
+            methods=("cs-twist",),
+            repeats=1,
+            synthesis=SynthesisOptions(periodic=periodic),
+            twist=TwistConfig(max_iters=30),
+        )
+        (row,) = run_table2(spec)
+        truth, seed = _cell_truth(spec, "independent", 0, 0)
+        samples = subsample(truth, _cell_mask(spec, 0, 0))
+        direct = {
+            p: twist_reconstruct(samples, spec.twist, periodic=p) for p in (True, False)
+        }
+        field, info = direct[periodic]
+        assert row.seed == seed
+        assert row.rmse == rmse(truth, field)
+        assert row.snr_db == snr_db(truth, field)
+        assert row.iterations == info["iterations"]
+        assert row.rmse != rmse(truth, direct[not periodic][0])
 
     def test_paired_campaign_shares_seed_across_hurst(self):
         rows = run_table1(tiny_spec(sample_counts=None, subsampling_factors=(4,)))
