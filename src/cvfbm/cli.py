@@ -17,15 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import BoxcarConfig, ThinPlateConfig, boxcar_reconstruct, thin_plate_reconstruct
-from .cs import (
-    EqualitySolverConfig,
-    TwistConfig,
-    bp_reconstruct,
-    compressibility_diagnostics,
-    tv_equality_reconstruct,
-    twist_reconstruct,
-)
+from .cs import compressibility_diagnostics
 from .fileio import (
     read_cvf1,
     read_samples_csv,
@@ -34,6 +26,9 @@ from .fileio import (
     write_samples_csv,
 )
 from .harness import (
+    METHODS,
+    REGISTRY,
+    SECTIONS,
     emit_figure_data,
     run_table1,
     run_table2,
@@ -108,40 +103,20 @@ def _cmd_sample(args) -> int:
 
 def _cmd_recon(args) -> int:
     samples = read_samples_csv(args.samples, args.rows, args.cols)
-    info: dict = {}
-    iterations = 0
     if args.method == "boxcar":
         args.method = "box"
-    if args.method == "box":
-        cfg = BoxcarConfig(window=args.window, range_adjust=args.range_adjust)
-        field = boxcar_reconstruct(samples, cfg)
-    elif args.method == "tp":
-        cfg = ThinPlateConfig(p=args.p, epsilon=args.epsilon)
-        field = thin_plate_reconstruct(samples, cfg)
-    elif args.method == "cs-twist":
-        cfg = TwistConfig(lam=args.lam, max_iters=args.max_iters, tol=args.tol)
-        field, info = twist_reconstruct(samples, cfg)
-        iterations = info["iterations"]
-    elif args.method == "cs-tv":
-        cfg = EqualitySolverConfig(max_iters=args.max_iters)
-        field, info = tv_equality_reconstruct(samples, cfg)
-        iterations = info["iterations"]
-    elif args.method == "cs-bp":
-        cfg = EqualitySolverConfig(max_iters=args.max_iters)
-        field, info = bp_reconstruct(samples, cfg, allow_large=args.allow_large)
-        iterations = info["iterations"]
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown method {args.method!r}")
+    section, solve = REGISTRY[args.method]
+    # the recon flags are named after the config fields they set
+    cls = SECTIONS[section]
+    names = [f.name for f in dataclasses.fields(cls) if hasattr(args, f.name)]
+    cfg = cls(**{name: getattr(args, name) for name in names})
+    # a samples CSV says nothing about the field's boundary, so solve as free
+    field, info = solve(samples, cfg, periodic=False, allow_large=args.allow_large)
     write_cvf1(args.out, field)
     if args.diagnostics is not None:
-        diag = {"method": args.method, "n_sub": samples.positions.shape[0]}
-        for key, val in info.items():
-            if key == "objective_trace":
-                diag[key] = [float(v) for v in val]
-            elif isinstance(val, (int, float, np.integer, np.floating)):
-                diag[key] = float(val)
+        diag = {"method": args.method, "n_sub": samples.positions.shape[0], **info}
         Path(args.diagnostics).write_text(json.dumps(diag, indent=2, sort_keys=True) + "\n")
-    _emit({"out": str(args.out), "method": args.method, "iterations": int(iterations)})
+    _emit({"out": str(args.out), "method": args.method, "iterations": info.get("iterations", 0)})
     return 0
 
 
@@ -245,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", type=int, required=True)
     p.add_argument(
         "--method",
-        choices=("box", "boxcar", "tp", "cs-twist", "cs-tv", "cs-bp"),
+        choices=METHODS + ("boxcar",),
         required=True,
     )
     p.add_argument("--out", type=Path, required=True)

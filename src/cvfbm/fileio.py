@@ -19,7 +19,6 @@ __all__ = [
     "write_samples_csv",
     "read_samples_csv",
     "write_mask_csv",
-    "read_mask_csv",
 ]
 
 _MAGIC = b"CVF1"
@@ -104,20 +103,3 @@ def write_mask_csv(path, mask) -> None:
     with open(path, "w", newline="") as fh:
         for r, c in pos:
             fh.write(f"{int(r)},{int(c)}\n")
-
-
-def read_mask_csv(path) -> np.ndarray:
-    pos = []
-    with open(path, newline="") as fh:
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            a, b = line.split(",")[:2]
-            try:
-                pos.append((int(a), int(b)))
-            except ValueError:
-                if i == 0:  # tolerate a header line
-                    continue
-                raise
-    return np.array(pos, dtype=np.int64).reshape(-1, 2)

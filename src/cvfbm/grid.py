@@ -14,7 +14,6 @@ __all__ = [
     "as_field",
     "dft2",
     "idft2",
-    "mirror_extend",
     "take_quadrant",
     "SampleSet",
     "mirror_extend_samples",
@@ -45,18 +44,6 @@ def idft2(F) -> np.ndarray:
     """Unitary 2D inverse DFT."""
     F = as_field(F)
     return np.fft.ifft2(F) * np.sqrt(F.size)
-
-
-def mirror_extend(f) -> np.ndarray:
-    """Reflect an M x N grid into 2M x 2N without repeating the edge row/col.
-
-    The output quadrants are: top-left = input, top-right = columns reversed,
-    bottom-left = rows reversed, bottom-right = both reversed. Column N-1 sits
-    next to its own mirror image, so the result wraps periodically.
-    """
-    f = as_field(f)
-    top = np.concatenate([f, f[:, ::-1]], axis=1)
-    return np.concatenate([top, top[::-1, :]], axis=0)
 
 
 def take_quadrant(f) -> np.ndarray:
@@ -106,9 +93,10 @@ class SampleSet:
 def mirror_extend_samples(samples: SampleSet) -> SampleSet:
     """Map each sample of an M x N grid to its 4 mirror positions in 2M x 2N.
 
-    Uses the same reflection as :func:`mirror_extend` (r -> 2M-1-r,
-    c -> 2N-1-c), so distinct inputs never collide. Output is in canonical
-    row-major order.
+    The 2M x 2N grid is the input, its column reversal to the right and the
+    row reversal of both below (r -> 2M-1-r, c -> 2N-1-c): no edge row or
+    column repeats, the result wraps periodically and distinct inputs never
+    collide. Output is in canonical row-major order.
     """
     m, n = samples.rows, samples.cols
     r = samples.positions[:, 0]

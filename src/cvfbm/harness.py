@@ -15,7 +15,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .cs import (
 )
 from .fileio import field_to_bytes, write_pgm
 from .grid import SampleSet, as_field, dft2
-from .metrics import rmse as rmse_metric, snr_db as snr_metric
+from .metrics import radial_bins, rmse as rmse_metric, snr_db as snr_metric
 from .sampling import subsample
 from .synthesis import normalize_dynamic_range, synthesize_cvfbm
 
@@ -48,7 +48,24 @@ __all__ = [
     "emit_figure_data",
 ]
 
-METHODS = ("box", "tp", "cs-twist", "cs-tv", "cs-bp")
+# method name -> (the ExperimentSpec field that holds its config, solve). A
+# solve is (samples, cfg, *, periodic, allow_large) -> (field, info). It names
+# its solver at call time, so a solver replaced on this module (perfbench
+# wraps them for its spans and output checks) is the one that runs.
+REGISTRY = {
+    "box": ("boxcar", lambda s, cfg, **_: (boxcar_reconstruct(s, cfg), {})),
+    "tp": ("thin_plate", lambda s, cfg, **_: (thin_plate_reconstruct(s, cfg), {})),
+    "cs-twist": (
+        "twist",
+        lambda s, cfg, periodic, **_: twist_reconstruct(s, cfg, periodic=periodic),
+    ),
+    "cs-tv": ("equality", lambda s, cfg, **_: tv_equality_reconstruct(s, cfg)),
+    "cs-bp": (
+        "equality",
+        lambda s, cfg, allow_large, **_: bp_reconstruct(s, cfg, allow_large=allow_large),
+    ),
+}
+METHODS = tuple(REGISTRY)
 
 # spawn-key prefixes for the independent random streams of a campaign
 _FIELD_STREAM = 1
@@ -165,41 +182,21 @@ def table2_spec(**overrides) -> ExperimentSpec:
 # ---------------------------------------------------------------------------
 # JSON round trip with unknown-key rejection
 
-_NESTED_KEYS = {
-    "synthesis": ("envelope", "periodic"),
-    "boxcar": ("window", "range_adjust"),
-    "thin_plate": ("p", "epsilon"),
-    "twist": ("lambda", "max_iters", "tol", "alpha", "beta", "monotone", "tv_inner_iters"),
-    "equality": ("max_iters", "primal_tol", "dual_tol", "penalty"),
-}
-_TOP_KEYS = (
-    "grid",
-    "hurst_values",
-    "sample_counts",
-    "subsampling_factors",
-    "methods",
-    "repeats",
-    "base_seed",
-    "target_rms",
-) + tuple(_NESTED_KEYS)
+# the dataclass-valued spec fields, each with its config class
+SECTIONS = {f.name: type(f.default) for f in fields(ExperimentSpec) if is_dataclass(f.default)}
+
+
+def _json_key(name: str) -> str:
+    return "lambda" if name == "lam" else name
 
 
 def spec_from_json(text: str) -> ExperimentSpec:
     raw = json.loads(text)
     if not isinstance(raw, dict):
         raise ValueError("experiment spec must be a JSON object")
-    unknown = set(raw) - set(_TOP_KEYS)
+    unknown = set(raw) - {f.name for f in fields(ExperimentSpec)}
     if unknown:
         raise ValueError(f"unknown spec keys: {sorted(unknown)}")
-    for section, allowed in _NESTED_KEYS.items():
-        sub = raw.get(section)
-        if sub is None:
-            continue
-        if not isinstance(sub, dict):
-            raise ValueError(f"{section} must be a JSON object")
-        bad = set(sub) - set(allowed)
-        if bad:
-            raise ValueError(f"unknown {section} keys: {sorted(bad)}")
 
     kwargs: dict = {}
     if "grid" in raw:
@@ -217,56 +214,32 @@ def spec_from_json(text: str) -> ExperimentSpec:
             kwargs[key] = int(raw[key])
     if "target_rms" in raw:
         kwargs["target_rms"] = None if raw["target_rms"] is None else float(raw["target_rms"])
-    if "synthesis" in raw:
-        kwargs["synthesis"] = SynthesisOptions(**raw["synthesis"])
-    if "boxcar" in raw:
-        kwargs["boxcar"] = BoxcarConfig(**raw["boxcar"])
-    if "thin_plate" in raw:
-        kwargs["thin_plate"] = ThinPlateConfig(**raw["thin_plate"])
-    if "twist" in raw:
-        t = dict(raw["twist"])
-        if "lambda" in t:
-            lam = t.pop("lambda")
-            t["lam"] = None if lam in (None, "auto") else float(lam)
-        kwargs["twist"] = TwistConfig(**t)
-    if "equality" in raw:
-        kwargs["equality"] = EqualitySolverConfig(**raw["equality"])
+    for section, cls in SECTIONS.items():
+        sub = raw.get(section)
+        if sub is None:
+            continue
+        if not isinstance(sub, dict):
+            raise ValueError(f"{section} must be a JSON object")
+        bad = set(sub) - {_json_key(f.name) for f in fields(cls)}
+        if bad:
+            raise ValueError(f"unknown {section} keys: {sorted(bad)}")
+        sub = dict(sub)
+        if "lambda" in sub:
+            lam = sub.pop("lambda")
+            sub["lam"] = None if lam in (None, "auto") else float(lam)
+        kwargs[section] = cls(**sub)
     if not kwargs:
         raise ValueError("experiment spec is empty")
     return ExperimentSpec(**kwargs)
 
 
 def spec_to_json(spec: ExperimentSpec) -> str:
-    d = {
-        "grid": list(spec.grid),
-        "hurst_values": list(spec.hurst_values),
-        "methods": list(spec.methods),
-        "repeats": spec.repeats,
-        "base_seed": spec.base_seed,
-        "target_rms": spec.target_rms,
-        "synthesis": {"envelope": spec.synthesis.envelope, "periodic": spec.synthesis.periodic},
-        "boxcar": {"window": spec.boxcar.window, "range_adjust": spec.boxcar.range_adjust},
-        "thin_plate": {"p": spec.thin_plate.p, "epsilon": spec.thin_plate.epsilon},
-        "twist": {
-            "lambda": spec.twist.lam,
-            "max_iters": spec.twist.max_iters,
-            "tol": spec.twist.tol,
-            "alpha": spec.twist.alpha,
-            "beta": spec.twist.beta,
-            "monotone": spec.twist.monotone,
-            "tv_inner_iters": spec.twist.tv_inner_iters,
-        },
-        "equality": {
-            "max_iters": spec.equality.max_iters,
-            "primal_tol": spec.equality.primal_tol,
-            "dual_tol": spec.equality.dual_tol,
-            "penalty": spec.equality.penalty,
-        },
-    }
-    if spec.sample_counts is not None:
-        d["sample_counts"] = list(spec.sample_counts)
-    else:
-        d["subsampling_factors"] = list(spec.subsampling_factors)
+    d = asdict(spec)
+    for key in ("sample_counts", "subsampling_factors"):
+        if d[key] is None:
+            del d[key]
+    for section in SECTIONS:
+        d[section] = {_json_key(k): v for k, v in d[section].items()}
     return json.dumps(d, indent=2, sort_keys=True)
 
 
@@ -306,20 +279,10 @@ def _cell_mask(spec: ExperimentSpec, nsub_idx: int, rep: int) -> np.ndarray:
 
 
 def _reconstruct(method: str, samples: SampleSet, spec: ExperimentSpec):
-    if method == "box":
-        return boxcar_reconstruct(samples, spec.boxcar), 0
-    if method == "tp":
-        return thin_plate_reconstruct(samples, spec.thin_plate), 0
-    if method == "cs-twist":
-        field, info = twist_reconstruct(samples, spec.twist, periodic=spec.synthesis.periodic)
-        return field, info["iterations"]
-    if method == "cs-tv":
-        field, info = tv_equality_reconstruct(samples, spec.equality)
-        return field, info["iterations"]
-    if method == "cs-bp":
-        field, info = bp_reconstruct(samples, spec.equality, allow_large=True)
-        return field, info["iterations"]
-    raise ValueError(f"unknown method {method!r}")
+    section, solve = REGISTRY[method]
+    cfg = getattr(spec, section)
+    field, info = solve(samples, cfg, periodic=spec.synthesis.periodic, allow_large=True)
+    return field, info.get("iterations", 0)
 
 
 def _run_cell(spec: ExperimentSpec, policy: str, h_idx: int, nsub_idx: int, rep: int) -> dict:
@@ -506,16 +469,8 @@ class _ArtifactStore:
 def radial_magnitude_profile(field) -> tuple[np.ndarray, np.ndarray]:
     """Mean |spectrum| per exact radial frequency, up to min(rows, cols)/2."""
     f = as_field(field)
-    rows, cols = f.shape
-    mags = np.abs(dft2(f)).ravel()
-    wr = np.fft.fftfreq(rows, d=1.0 / rows)
-    wc = np.fft.fftfreq(cols, d=1.0 / cols)
-    r2 = (wr[:, None] ** 2 + wc[None, :] ** 2).astype(np.int64).ravel()
-    lim = (min(rows, cols) / 2.0) ** 2
-    keep = (r2 >= 1) & (r2 <= lim)
-    uniq, inv = np.unique(r2[keep], return_inverse=True)
-    means = np.bincount(inv, weights=mags[keep]) / np.bincount(inv)
-    return np.sqrt(uniq.astype(float)), means
+    r2, means = radial_bins(np.abs(dft2(f)), min(f.shape) / 2.0)
+    return np.sqrt(r2.astype(float)), means
 
 
 TRACE_START = 101

@@ -60,6 +60,22 @@ def evaluate(truth, est) -> EvalReport:
     return EvalReport(n_points=t.size, mse=m, rmse=float(np.sqrt(m)), snr_db=snr_db(truth, est))
 
 
+def radial_bins(mags, rmax: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of a 2D spectrum per exact squared radial frequency.
+
+    ``mags`` is indexed like the DFT of its grid. Returns the distinct integer
+    squared radii wx^2 + wy^2 in [1, rmax^2] (exact, so grouping by them is
+    collision-free) and the mean of ``mags`` over each.
+    """
+    rows, cols = mags.shape
+    wr = np.fft.fftfreq(rows, d=1.0 / rows)
+    wc = np.fft.fftfreq(cols, d=1.0 / cols)
+    r2 = (wr[:, None] ** 2 + wc[None, :] ** 2).astype(np.int64).ravel()
+    keep = (r2 >= 1) & (r2 <= rmax * rmax)
+    uniq, inv = np.unique(r2[keep], return_inverse=True)
+    return uniq, np.bincount(inv, weights=mags.ravel()[keep]) / np.bincount(inv)
+
+
 def radial_spectrum_slope(field) -> float:
     """Slope of log mean |spectrum| against log |omega|.
 
@@ -72,19 +88,7 @@ def radial_spectrum_slope(field) -> float:
     rows, cols = f.shape
     if rows < 16 or cols < 16:
         raise ValueError("slope estimate needs at least a 16x16 grid")
-    mags = np.abs(dft2(f)).ravel()
-    wr = np.fft.fftfreq(rows, d=1.0 / rows)
-    wc = np.fft.fftfreq(cols, d=1.0 / cols)
-    # integer squared radii are exact, so grouping by them is collision-free
-    r2 = (wr[:, None] ** 2 + wc[None, :] ** 2).astype(np.int64).ravel()
-    rmax = min(rows, cols) / 4.0
-    keep = (r2 >= 1) & (r2 <= rmax * rmax)
-    r2 = r2[keep]
-    mags = mags[keep]
-    uniq, inv = np.unique(r2, return_inverse=True)
-    sums = np.bincount(inv, weights=mags)
-    counts = np.bincount(inv)
-    means = sums / counts
+    uniq, means = radial_bins(np.abs(dft2(f)), min(rows, cols) / 4.0)
     if np.all(means == 0):
         raise ValueError("spectrum is identically zero over the fit range")
     logr = 0.5 * np.log(uniq.astype(float))

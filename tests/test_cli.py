@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cvfbm import read_cvf1, read_samples_csv, write_cvf1
+from cvfbm import harness, read_cvf1, read_samples_csv, write_cvf1
 from cvfbm.cli import main
 
 
@@ -186,9 +186,70 @@ class TestSampleAndRecon:
         diag = json.loads(diag_path.read_text())
         assert diag["method"] == "cs-twist"
         assert diag["n_sub"] == 80
-        assert diag["iterations"] >= 1
+        assert type(diag["iterations"]) is int and diag["iterations"] >= 1
+        assert type(diag["converged"]) is bool
         assert isinstance(diag["objective_trace"], list)
         assert last_json(stdout)["iterations"] == diag["iterations"]
+
+    @pytest.mark.parametrize("method", ["cs-tv", "cs-bp"])
+    def test_diagnostics_keep_json_types(self, capsys, tmp_path, field_file, method):
+        # a capped solve reports converged as a JSON false, iterations as an int
+        path, _ = field_file
+        samples_path = tmp_path / "s.csv"
+        run_cli(capsys, "sample", "--field", str(path), "--n", "80", "--out", str(samples_path))
+        diag_path = tmp_path / "diag.json"
+        code, _, _ = run_cli(
+            capsys,
+            "recon", "--samples", str(samples_path), "--rows", "16", "--cols", "16",
+            "--method", method, "--max-iters", "20",
+            "--out", str(tmp_path / "r.cvf"), "--diagnostics", str(diag_path),
+        )
+        assert code == 0
+        diag = json.loads(diag_path.read_text())
+        assert diag["converged"] is False
+        assert type(diag["iterations"]) is int and diag["iterations"] == 20
+        assert diag["method"] == method and diag["n_sub"] == 80
+
+    def test_reaches_solver_replaced_on_harness(self, capsys, tmp_path, field_file, monkeypatch):
+        # recon goes through the campaigns' method registry, which names its
+        # solvers at call time
+        calls = []
+        original = harness.boxcar_reconstruct
+
+        def counted(samples, cfg):
+            calls.append(cfg)
+            return original(samples, cfg)
+
+        monkeypatch.setattr(harness, "boxcar_reconstruct", counted)
+        path, _ = field_file
+        samples_path = tmp_path / "s.csv"
+        run_cli(capsys, "sample", "--field", str(path), "--n", "50", "--out", str(samples_path))
+        code, _, _ = run_cli(
+            capsys,
+            "recon", "--samples", str(samples_path), "--rows", "16", "--cols", "16",
+            "--method", "boxcar", "--window", "5", "--out", str(tmp_path / "r.cvf"),
+        )
+        assert code == 0
+        assert [(cfg.window, cfg.range_adjust) for cfg in calls] == [(5, "affine")]
+
+    def test_bp_size_guard_and_allow_large(self, capsys, tmp_path):
+        rng = np.random.default_rng(9)
+        field_path = tmp_path / "big.cvf"
+        write_cvf1(field_path, rng.normal(size=(72, 72)) + 1j * rng.normal(size=(72, 72)))
+        samples_path = tmp_path / "s.csv"
+        run_cli(capsys, "sample", "--field", str(field_path), "--n", "500", "--out", str(samples_path))
+        base = [
+            "recon", "--samples", str(samples_path), "--rows", "72", "--cols", "72",
+            "--method", "cs-bp", "--out", str(tmp_path / "r.cvf"),
+        ]
+        code, _, err = run_cli(capsys, *base)
+        assert code == 1
+        assert "64x64" in json.loads(err.strip())["error"]
+        assert not (tmp_path / "r.cvf").exists()
+        code, stdout, _ = run_cli(capsys, *base, "--allow-large", "--max-iters", "3")
+        assert code == 0
+        assert last_json(stdout)["iterations"] == 3
+        assert read_cvf1(tmp_path / "r.cvf").shape == (72, 72)
 
 
 class TestEval:

@@ -8,11 +8,22 @@ from cvfbm import (
     as_field,
     dft2,
     idft2,
-    mirror_extend,
     mirror_extend_samples,
     subsample,
     take_quadrant,
 )
+
+
+def mirror_extend(f):
+    """Reference reflection of an M x N grid into 2M x 2N, edge not repeated.
+
+    Quadrants: top-left = input, top-right = columns reversed, bottom-left =
+    rows reversed, bottom-right = both reversed. ``mirror_extend_samples``
+    must agree with it sample by sample.
+    """
+    f = as_field(f)
+    top = np.concatenate([f, f[:, ::-1]], axis=1)
+    return np.concatenate([top, top[::-1, :]], axis=0)
 
 
 def random_field(rows, cols, seed=0):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from cvfbm import (
+    BoxcarConfig,
     EqualitySolverConfig,
     ExperimentSpec,
     ResultRow,
     SynthesisOptions,
+    ThinPlateConfig,
     TwistConfig,
     derive_seed,
     emit_figure_data,
@@ -26,6 +28,7 @@ from cvfbm import (
     write_mean_csv,
     write_results_csv,
 )
+from cvfbm import harness as harness_module
 from cvfbm.harness import (
     _ArtifactStore,
     _audit_rows,
@@ -136,14 +139,26 @@ class TestDefaultSpecs:
         assert spec.hurst_values == (0.7,)
 
 
+# a value off its default in every config section of the spec
+NON_DEFAULT_SECTIONS = dict(
+    synthesis=SynthesisOptions(envelope="power", periodic=False),
+    boxcar=BoxcarConfig(window=5, range_adjust="none"),
+    thin_plate=ThinPlateConfig(p=0.5, epsilon=1e-3),
+    twist=TwistConfig(lam=0.25, alpha=1.5),
+    equality=EqualitySolverConfig(penalty=2.0),
+)
+
+
 class TestSpecJson:
     def test_round_trip_counts(self):
-        spec = table2_spec(repeats=3)
-        assert spec_from_json(spec_to_json(spec)) == spec
+        for sections in ({}, NON_DEFAULT_SECTIONS):
+            spec = table2_spec(repeats=3, **sections)
+            assert spec_from_json(spec_to_json(spec)) == spec
 
     def test_round_trip_factors(self):
-        spec = table1_spec(base_seed=11)
-        assert spec_from_json(spec_to_json(spec)) == spec
+        for sections in ({}, NON_DEFAULT_SECTIONS):
+            spec = table1_spec(base_seed=11, **sections)
+            assert spec_from_json(spec_to_json(spec)) == spec
 
     def test_unknown_top_key(self):
         with pytest.raises(ValueError, match="snake"):
@@ -283,6 +298,21 @@ class TestCampaign:
         tp = [k for k in keys if k[0] == "tp"]
         assert keys == box + tp
         assert box == sorted(box)
+
+    def test_reaches_solver_replaced_on_module(self, monkeypatch):
+        # the method registry names its solvers at call time
+        calls = []
+        original = harness_module.boxcar_reconstruct
+
+        def counted(samples, cfg):
+            calls.append(cfg)
+            return original(samples, cfg)
+
+        monkeypatch.setattr(harness_module, "boxcar_reconstruct", counted)
+        spec = tiny_spec(methods=("box",))
+        rows = run_table2(spec)
+        assert len(calls) == len(rows) == 4
+        assert all(cfg == spec.boxcar for cfg in calls)
 
     def test_direct_methods_report_zero_iterations(self):
         rows = run_table2(tiny_spec())
