@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +121,63 @@ def _phi_table(rows: int, cols: int) -> np.ndarray:
     return _phi(dr2[:, None] + dc2[None, :])
 
 
+def _phi_matrix(samples: SampleSet, out: np.ndarray) -> np.ndarray:
+    """phi(|x_i - x_j|^2) for every pair of sample positions, written to out.
+
+    Looked up in the flattened table of phi over grid offsets, where offset
+    (|dr|, |dc|) is entry |dr|*cols + |dc|; the squared offsets are exact
+    integers, so the lookup equals phi(d2) exactly.
+    """
+    rows, cols = samples.rows, samples.cols
+    fits32 = rows * cols <= np.iinfo(np.int32).max
+    row, col = samples.positions.astype(np.int32 if fits32 else np.int64).T
+    idx = row[:, None] - row
+    np.abs(idx, out=idx)
+    idx *= cols
+    dc = col[:, None] - col
+    np.abs(dc, out=dc)
+    idx += dc
+    del dc
+    return np.take(_phi_table(rows, cols).ravel(), idx, out=out, mode="clip")
+
+
+# The mask-only part of the last fit, {key: (p, (lu, piv))}. The campaigns fit
+# every hurst value on the same mask, so those fits share one factorization.
+_SYSTEM_MEMO: dict = {}
+
+
+def clear_system_memo() -> None:
+    """Drop the thin-plate factor kept by thin_plate_coefficients."""
+    _SYSTEM_MEMO.clear()
+
+
+def _factor_system(samples: SampleSet, cfg: ThinPlateConfig):
+    """Check the positions, pick p and LU-factor [[K + rho*I, P], [P^T, 0]]."""
+    from scipy.linalg import LinAlgWarning, lu_factor
+
+    n = len(samples)
+    pts = samples.positions.astype(float)
+    # collinearity check via the rank of the polynomial block
+    pblock = np.concatenate([np.ones((n, 1)), pts], axis=1)
+    if np.linalg.matrix_rank(pblock) < 3:
+        raise ValueError("sample positions are collinear")
+    p = cfg.p if cfg.p is not None else default_smoothing_p(pts)
+    rho = (1.0 - p) / p
+    system = np.zeros((n + 3, n + 3))
+    _phi_matrix(samples, system[:n, :n])
+    np.fill_diagonal(system[:n, :n], rho + cfg.epsilon)
+    system[:n, n:] = pblock
+    system[n:, :n] = pblock.T
+    # the matrix is symmetric, so its transpose is the same matrix as an
+    # F-ordered view, which LAPACK factors in place
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu, piv = lu_factor(system.T, overwrite_a=True, check_finite=False)
+    if not np.diagonal(lu).all():
+        raise ValueError("thin-plate system is singular")
+    return p, (lu, piv)
+
+
 def thin_plate_coefficients(samples: SampleSet, cfg: ThinPlateConfig = ThinPlateConfig()):
     """Solve the smoothing-spline system; returns (c, d, p).
 
@@ -128,30 +186,30 @@ def thin_plate_coefficients(samples: SampleSet, cfg: ThinPlateConfig = ThinPlate
     The matrix is real, so one real solve with two right-hand sides (the real
     and imaginary parts of the values) covers both channels. The side
     conditions sum(c) = 0, sum(c*row) = 0, sum(c*col) = 0 are rows of the
-    system itself. K is looked up in the table of phi over grid offsets; the
-    squared offsets are exact integers, so the lookup equals phi(d2) exactly.
+    system itself.
+
+    Only the right-hand side depends on the values: the LU factor of the last
+    system is kept, keyed by grid, positions (in order), p and epsilon, and a
+    fit on the same positions runs only the two-column solve. A hit and a
+    miss take the same lu_solve, so both give the same bits. One factor, of
+    (n+3)^2 floats, stays cached per process until clear_system_memo() or
+    the next fit on other positions.
     """
+    # imported here: scipy.linalg costs a noticeable share of `import cvfbm`
+    from scipy.linalg import lu_solve
+
     n = len(samples)
     if n < 3:
         raise ValueError("thin-plate fit needs at least 3 samples")
-    pts = samples.positions.astype(float)
-    # collinearity check via the rank of the polynomial block
-    pblock = np.concatenate([np.ones((n, 1)), pts], axis=1)
-    if np.linalg.matrix_rank(pblock) < 3:
-        raise ValueError("sample positions are collinear")
-    p = cfg.p if cfg.p is not None else default_smoothing_p(pts)
-    rho = (1.0 - p) / p
-    row, col = samples.positions.T
-    table = _phi_table(samples.rows, samples.cols)
-    system = np.zeros((n + 3, n + 3))
-    system[:n, :n] = table[np.abs(row[:, None] - row), np.abs(col[:, None] - col)]
-    np.fill_diagonal(system[:n, :n], rho + cfg.epsilon)
-    system[:n, n:] = pblock
-    system[n:, :n] = pblock.T
+    key = (samples.rows, samples.cols, samples.positions.tobytes(), cfg.p, cfg.epsilon)
+    if key not in _SYSTEM_MEMO:
+        _SYSTEM_MEMO.clear()  # never hold two systems at once
+        _SYSTEM_MEMO[key] = _factor_system(samples, cfg)
+    p, factor = _SYSTEM_MEMO[key]
     rhs = np.zeros((n + 3, 2))
     rhs[:n, 0] = samples.values.real
     rhs[:n, 1] = samples.values.imag
-    sol = np.linalg.solve(system, rhs)
+    sol = lu_solve(factor, rhs, overwrite_b=True, check_finite=False)
     coef = sol[:, 0] + 1j * sol[:, 1]
     return coef[:n], coef[n:], p
 

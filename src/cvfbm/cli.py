@@ -106,10 +106,11 @@ def _cmd_recon(args) -> int:
     if args.method == "boxcar":
         args.method = "box"
     section, solve = REGISTRY[args.method]
-    # the recon flags are named after the config fields they set
+    # the recon flags are named after the config fields they set; a flag left
+    # at None keeps the config's own default
     cls = SECTIONS[section]
-    names = [f.name for f in dataclasses.fields(cls) if hasattr(args, f.name)]
-    cfg = cls(**{name: getattr(args, name) for name in names})
+    given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(cls)}
+    cfg = cls(**{name: value for name, value in given.items() if value is not None})
     # a samples CSV says nothing about the field's boundary, so solve as free
     field, info = solve(samples, cfg, periodic=False, allow_large=args.allow_large)
     write_cvf1(args.out, field)
@@ -230,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=None, help="thin-plate smoothing weight in (0, 1]")
     p.add_argument("--epsilon", type=float, default=0.0, help="thin-plate ridge term")
     p.add_argument("--lambda", dest="lam", type=float, default=None, help="TV weight")
-    p.add_argument("--max-iters", type=int, default=500)
+    p.add_argument("--max-iters", type=int, default=None, help="iteration cap (default: the method's own)")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--allow-large", action="store_true", help="lift the basis-pursuit size guard")
     p.set_defaults(func=_cmd_recon)

@@ -116,7 +116,11 @@ def tv_denoise(field, weight: float, iters: int = 30, return_gap: bool = False):
     if weight <= 0:
         raise ValueError("weight must be positive")
     tau = 0.125
+    # tau is a power of two, so scaling by it is exact outside the subnormal
+    # range: the loop below runs on v = tau*(div(p) - f/weight), whose
+    # gradient and its magnitude come out already scaled by tau
     scaled = f / weight
+    scaled *= tau
     p = np.zeros((2,) + f.shape, dtype=np.complex128)
     # buffers reused across iterations; each update below gives the same
     # values as
@@ -133,15 +137,14 @@ def tv_denoise(field, weight: float, iters: int = 30, return_gap: bool = False):
     sq = np.empty(f.shape)
     for _ in range(int(iters)):
         _div(p, out=v, work=work)
+        v *= tau
         v -= scaled
         _grad(v, out=g)
         np.square(np.abs(g[0], out=mag), out=mag)
         np.square(np.abs(g[1], out=sq), out=sq)
         mag += sq
         np.sqrt(mag, out=mag)
-        g *= tau
         p += g
-        mag *= tau
         mag += 1.0
         np.divide(1.0, mag, out=mag)
         p *= mag

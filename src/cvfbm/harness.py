@@ -20,7 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import BoxcarConfig, ThinPlateConfig, boxcar_reconstruct, thin_plate_reconstruct
+from .baselines import (
+    BoxcarConfig,
+    ThinPlateConfig,
+    boxcar_reconstruct,
+    clear_system_memo,
+    thin_plate_reconstruct,
+)
 from .cs import (
     EqualitySolverConfig,
     TwistConfig,
@@ -186,6 +192,19 @@ def table2_spec(**overrides) -> ExperimentSpec:
 SECTIONS = {f.name: type(f.default) for f in fields(ExperimentSpec) if is_dataclass(f.default)}
 
 
+# the plain spec fields, each with the conversion of its JSON value
+_TOP_CONVERTERS = {
+    "grid": lambda v: tuple(int(x) for x in v),
+    "hurst_values": lambda v: tuple(float(x) for x in v),
+    "sample_counts": lambda v: tuple(int(x) for x in v),
+    "subsampling_factors": lambda v: tuple(int(x) for x in v),
+    "methods": lambda v: tuple(str(m) for m in v),
+    "repeats": int,
+    "base_seed": int,
+    "target_rms": lambda v: None if v is None else float(v),
+}
+
+
 def _json_key(name: str) -> str:
     return "lambda" if name == "lam" else name
 
@@ -199,21 +218,12 @@ def spec_from_json(text: str) -> ExperimentSpec:
         raise ValueError(f"unknown spec keys: {sorted(unknown)}")
 
     kwargs: dict = {}
-    if "grid" in raw:
-        kwargs["grid"] = tuple(int(v) for v in raw["grid"])
-    if "hurst_values" in raw:
-        kwargs["hurst_values"] = tuple(float(v) for v in raw["hurst_values"])
-    if "sample_counts" in raw:
-        kwargs["sample_counts"] = tuple(int(v) for v in raw["sample_counts"])
-    if "subsampling_factors" in raw:
-        kwargs["subsampling_factors"] = tuple(int(v) for v in raw["subsampling_factors"])
-    if "methods" in raw:
-        kwargs["methods"] = tuple(str(m) for m in raw["methods"])
-    for key in ("repeats", "base_seed"):
+    for key, convert in _TOP_CONVERTERS.items():
         if key in raw:
-            kwargs[key] = int(raw[key])
-    if "target_rms" in raw:
-        kwargs["target_rms"] = None if raw["target_rms"] is None else float(raw["target_rms"])
+            try:
+                kwargs[key] = convert(raw[key])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"bad {key} value: {exc}") from exc
     for section, cls in SECTIONS.items():
         sub = raw.get(section)
         if sub is None:
@@ -227,7 +237,10 @@ def spec_from_json(text: str) -> ExperimentSpec:
         if "lambda" in sub:
             lam = sub.pop("lambda")
             sub["lam"] = None if lam in (None, "auto") else float(lam)
-        kwargs[section] = cls(**sub)
+        try:
+            kwargs[section] = cls(**sub)
+        except TypeError as exc:  # a value of the wrong JSON type
+            raise ValueError(f"bad {section} value: {exc}") from exc
     if not kwargs:
         raise ValueError("experiment spec is empty")
     return ExperimentSpec(**kwargs)
@@ -313,17 +326,22 @@ def _cell_star(args):
 
 
 def _run_campaign(spec: ExperimentSpec, policy: str, out_dir=None, jobs: int = 1):
+    # mask-major: a mask depends on (count, repeat) only, so the cells of one
+    # mask run back to back and thin-plate reuses its factorization across them
     items = [
         (h_idx, nsub_idx, rep)
-        for h_idx in range(len(spec.hurst_values))
         for nsub_idx in range(len(spec.counts))
         for rep in range(spec.repeats)
+        for h_idx in range(len(spec.hurst_values))
     ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             cells = list(pool.map(_cell_star, [(spec, policy) + it for it in items], chunksize=1))
     else:
-        cells = [_run_cell(spec, policy, *it) for it in items]
+        try:
+            cells = [_run_cell(spec, policy, *it) for it in items]
+        finally:
+            clear_system_memo()  # the campaign's last factor is of no use after it
 
     rows: list[ResultRow] = []
     store = _ArtifactStore(out_dir) if out_dir is not None else None

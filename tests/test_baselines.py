@@ -244,6 +244,23 @@ class TestThinPlateFastPaths:
         d2 = ((s.positions[:, None, :] - s.positions[None, :, :]).astype(float) ** 2).sum(-1)
         table = baselines._phi_table(s.rows, s.cols)
         assert np.array_equal(table[np.abs(r[:, None] - r), np.abs(c[:, None] - c)], baselines._phi(d2))
+        # the system fill writes into a strided block of the larger matrix
+        system = np.full((33, 33), np.nan)
+        baselines._phi_matrix(s, system[:30, :30])
+        assert np.array_equal(system[:30, :30], baselines._phi(d2))
+        assert np.isnan(system[30:]).all() and np.isnan(system[:, 30:]).all()
+
+    @pytest.mark.parametrize("rows, cols", [(4, 4000), (4000, 4)])
+    def test_system_matrix_on_elongated_grid(self, rows, cols):
+        # samples spread to the far corners: offsets up to the full grid extent
+        pos = random_mask(rows, cols, 60, seed=6)
+        pos[:2] = [[0, 0], [rows - 1, cols - 1]]
+        pos = np.unique(pos, axis=0)
+        s = make_samples(rows, cols, pos, np.ones(len(pos)))
+        d2 = ((s.positions[:, None, :] - s.positions[None, :, :]).astype(float) ** 2).sum(-1)
+        out = np.empty((len(pos), len(pos)))
+        baselines._phi_matrix(s, out)
+        assert np.array_equal(out, baselines._phi(d2))
 
     @pytest.mark.parametrize("n, seed", [(2, 0), (3, 1), (40, 2), (500, 3), (2000, 4)])
     def test_default_p_equals_brute_force(self, n, seed):
@@ -259,6 +276,54 @@ class TestThinPlateFastPaths:
     def test_import_does_not_load_scipy_spatial(self):
         src = str(Path(cvfbm.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        code = "import sys, cvfbm; print('scipy.spatial' in sys.modules)"
+        code = "import sys, cvfbm; print('scipy.spatial' in sys.modules, 'scipy.linalg' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "False False"
+
+
+def assert_same_bits(a, b):
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]) and a[2] == b[2]
+
+
+class TestThinPlateMemo:
+    @pytest.fixture
+    def samples(self):
+        field = synthesize_cvfbm(0.7, 40, 40, 1)
+        return subsample(field, random_mask(40, 40, 300, seed=2))
+
+    def fresh(self, samples, cfg=ThinPlateConfig()):
+        baselines._SYSTEM_MEMO.clear()
+        return thin_plate_coefficients(samples, cfg)
+
+    def test_hit_equals_miss(self, samples):
+        miss = self.fresh(samples)
+        hit = thin_plate_coefficients(samples)
+        assert_same_bits(hit, miss)
+        other = SampleSet(samples.rows, samples.cols, samples.positions, samples.values[::-1] * 2j)
+        hit = thin_plate_coefficients(other)
+        assert_same_bits(hit, self.fresh(other))
+
+    @pytest.mark.parametrize("change", ["p", "epsilon", "grid", "permuted"])
+    def test_changed_key_gives_fresh_result(self, samples, change):
+        changed, cfg = samples, ThinPlateConfig()
+        if change == "p":
+            cfg = ThinPlateConfig(p=0.9)
+        elif change == "epsilon":
+            cfg = ThinPlateConfig(epsilon=1e-3)
+        elif change == "grid":
+            changed = SampleSet(60, 50, samples.positions, samples.values)
+        else:
+            order = np.random.default_rng(3).permutation(len(samples))
+            changed = SampleSet(samples.rows, samples.cols, samples.positions[order], samples.values[order])
+        expected = self.fresh(changed, cfg)
+        self.fresh(samples)  # the memo now holds the unchanged system
+        assert_same_bits(thin_plate_coefficients(changed, cfg), expected)
+
+    def test_singular_system_raises_value_error(self, monkeypatch):
+        # with phi replaced by zero and p = 1 the system is [[0, P], [P^T, 0]],
+        # rank 6 < n + 3: LU meets an exactly zero pivot
+        monkeypatch.setattr(baselines, "_phi", np.zeros_like)
+        monkeypatch.setattr(baselines, "_SYSTEM_MEMO", {})
+        s = make_samples(4, 4, [[0, 0], [0, 1], [1, 0], [1, 1], [2, 3]], np.ones(5))
+        with pytest.raises(ValueError, match="singular"):
+            thin_plate_coefficients(s, ThinPlateConfig(p=1.0))

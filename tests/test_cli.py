@@ -210,6 +210,20 @@ class TestSampleAndRecon:
         assert type(diag["iterations"]) is int and diag["iterations"] == 20
         assert diag["method"] == method and diag["n_sub"] == 80
 
+    def test_max_iters_defaults_to_the_config(self, capsys, tmp_path, field_file):
+        # without --max-iters cs-tv keeps EqualitySolverConfig's 600-iteration
+        # cap (these 50 samples do not converge within it)
+        path, _ = field_file
+        samples_path = tmp_path / "s.csv"
+        run_cli(capsys, "sample", "--field", str(path), "--n", "50", "--out", str(samples_path))
+        code, stdout, _ = run_cli(
+            capsys,
+            "recon", "--samples", str(samples_path), "--rows", "16", "--cols", "16",
+            "--method", "cs-tv", "--out", str(tmp_path / "r.cvf"),
+        )
+        assert code == 0
+        assert last_json(stdout)["iterations"] == 600
+
     def test_reaches_solver_replaced_on_harness(self, capsys, tmp_path, field_file, monkeypatch):
         # recon goes through the campaigns' method registry, which names its
         # solvers at call time
@@ -322,6 +336,21 @@ class TestBench:
         )
         assert code == 1
         assert "warp" in json.loads(err.strip())["error"]
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [("boxcar", {"window": "5"}, "boxcar"), ("grid", 12, "grid"), ("repeats", "two", "repeats")],
+    )
+    def test_spec_value_of_wrong_type_exits_1(self, capsys, tmp_path, key, value, named):
+        spec = {"grid": [12, 12], "hurst_values": [0.5], "sample_counts": [30], "repeats": 1}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**spec, key: value}))
+        code, _, err = run_cli(
+            capsys, "bench", "table2", "--out-dir", str(tmp_path / "b"), "--spec", str(spec_path)
+        )
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert named in json.loads(err)["error"]
 
 
 class TestStarAndProfile:

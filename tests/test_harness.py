@@ -314,6 +314,27 @@ class TestCampaign:
         assert len(calls) == len(rows) == 4
         assert all(cfg == spec.boxcar for cfg in calls)
 
+    def test_thin_plate_factors_once_per_mask(self, monkeypatch):
+        # a mask depends on (count, repeat) only and its cells run back to
+        # back, so the thin-plate memo factors each mask's system once
+        import scipy.linalg
+
+        from cvfbm import baselines
+
+        calls = []
+        original = scipy.linalg.lu_factor
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
+        monkeypatch.setattr(baselines, "_SYSTEM_MEMO", {})
+        spec = tiny_spec(hurst_values=(0.4, 0.6, 0.8), sample_counts=(30, 60), methods=("tp",))
+        rows = run_table2(spec)
+        assert len(rows) == 3 * 2 * 2
+        assert len(calls) == 2 * 2  # counts x repeats
+
     def test_direct_methods_report_zero_iterations(self):
         rows = run_table2(tiny_spec())
         assert all(r.iterations == 0 for r in rows)
