@@ -18,6 +18,7 @@ __all__ = [
     "write_pgm",
     "write_samples_csv",
     "read_samples_csv",
+    "mask_to_bytes",
     "write_mask_csv",
 ]
 
@@ -43,8 +44,9 @@ def field_from_bytes(blob: bytes) -> np.ndarray:
     expected = 12 + rows * cols * 16
     if len(blob) != expected:
         raise ValueError(f"CVF1 payload truncated: {len(blob)} bytes, expected {expected}")
-    flat = np.frombuffer(blob, dtype="<f8", offset=12).reshape(rows, cols, 2)
-    return (flat[..., 0] + 1j * flat[..., 1]).astype(np.complex128)
+    # the re/im pairs are the memory layout of complex128: a copy keeps every
+    # bit, signed zeros included, so decoding inverts field_to_bytes exactly
+    return np.frombuffer(blob, dtype="<c16", offset=12).reshape(rows, cols).astype(np.complex128)
 
 
 def write_cvf1(path, field) -> None:
@@ -97,9 +99,11 @@ def read_samples_csv(path, rows: int, cols: int) -> SampleSet:
     return SampleSet(rows, cols, np.array(pos, dtype=np.int64).reshape(-1, 2), np.array(vals, dtype=complex))
 
 
-def write_mask_csv(path, mask) -> None:
+def mask_to_bytes(mask) -> bytes:
     """Bare row,col lines, one sampled position each."""
     pos = np.asarray(mask, dtype=np.int64).reshape(-1, 2)
-    with open(path, "w", newline="") as fh:
-        for r, c in pos:
-            fh.write(f"{int(r)},{int(c)}\n")
+    return "".join(f"{r},{c}\n" for r, c in pos.tolist()).encode()
+
+
+def write_mask_csv(path, mask) -> None:
+    Path(path).write_bytes(mask_to_bytes(mask))

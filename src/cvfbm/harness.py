@@ -17,6 +17,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from .cs import (
     tv_equality_reconstruct,
     twist_reconstruct,
 )
-from .fileio import field_to_bytes, write_pgm
+from .fileio import field_to_bytes, mask_to_bytes, write_pgm
 from .grid import SampleSet, as_field, dft2
 from .metrics import radial_bins, rmse as rmse_metric, snr_db as snr_metric
 from .sampling import subsample
@@ -192,21 +194,60 @@ def table2_spec(**overrides) -> ExperimentSpec:
 SECTIONS = {f.name: type(f.default) for f in fields(ExperimentSpec) if is_dataclass(f.default)}
 
 
-# the plain spec fields, each with the conversion of its JSON value
-_TOP_CONVERTERS = {
-    "grid": lambda v: tuple(int(x) for x in v),
-    "hurst_values": lambda v: tuple(float(x) for x in v),
-    "sample_counts": lambda v: tuple(int(x) for x in v),
-    "subsampling_factors": lambda v: tuple(int(x) for x in v),
-    "methods": lambda v: tuple(str(m) for m in v),
-    "repeats": int,
-    "base_seed": int,
-    "target_rms": lambda v: None if v is None else float(v),
-}
-
-
 def _json_key(name: str) -> str:
     return "lambda" if name == "lam" else name
+
+
+def _typed(value, tp):
+    """A JSON value as a field of type ``tp``; TypeError if it is not one.
+
+    Exact JSON types only: a bool is no int, a float no int, a string no
+    number. An int is accepted where a float is expected.
+    """
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is UnionType:
+        for arm in args:
+            try:
+                return _typed(value, arm)
+            except TypeError:
+                pass
+    elif origin is tuple and isinstance(value, list):
+        arms = args[:1] * len(value) if args[-1:] == (Ellipsis,) else args
+        if len(arms) == len(value):
+            return tuple(_typed(v, arm) for v, arm in zip(value, arms))
+    elif tp is type(None):
+        if value is None:
+            return None
+    elif tp is float:
+        if type(value) in (int, float):
+            return float(value)
+    elif type(value) is tp:
+        return value
+    raise TypeError(tp)
+
+
+def _checked(value, tp, key: str):
+    try:
+        return _typed(value, tp)
+    except TypeError:
+        expected = tp.__name__ if isinstance(tp, type) else str(tp)
+        raise ValueError(f"bad {key} value {value!r}: expected {expected}") from None
+
+
+def _section_from_json(section: str, cls, sub):
+    if not isinstance(sub, dict):
+        raise ValueError(f"{section} must be a JSON object")
+    names = {_json_key(f.name): f.name for f in fields(cls)}
+    bad = set(sub) - set(names)
+    if bad:
+        raise ValueError(f"unknown {section} keys: {sorted(bad)}")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for key, value in sub.items():
+        if key == "lambda" and value == "auto":
+            value = None
+        kwargs[names[key]] = _checked(value, hints[names[key]], f"{section}.{key}")
+    return cls(**kwargs)
 
 
 def spec_from_json(text: str) -> ExperimentSpec:
@@ -217,30 +258,13 @@ def spec_from_json(text: str) -> ExperimentSpec:
     if unknown:
         raise ValueError(f"unknown spec keys: {sorted(unknown)}")
 
+    hints = get_type_hints(ExperimentSpec)
     kwargs: dict = {}
-    for key, convert in _TOP_CONVERTERS.items():
-        if key in raw:
-            try:
-                kwargs[key] = convert(raw[key])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"bad {key} value: {exc}") from exc
-    for section, cls in SECTIONS.items():
-        sub = raw.get(section)
-        if sub is None:
-            continue
-        if not isinstance(sub, dict):
-            raise ValueError(f"{section} must be a JSON object")
-        bad = set(sub) - {_json_key(f.name) for f in fields(cls)}
-        if bad:
-            raise ValueError(f"unknown {section} keys: {sorted(bad)}")
-        sub = dict(sub)
-        if "lambda" in sub:
-            lam = sub.pop("lambda")
-            sub["lam"] = None if lam in (None, "auto") else float(lam)
-        try:
-            kwargs[section] = cls(**sub)
-        except TypeError as exc:  # a value of the wrong JSON type
-            raise ValueError(f"bad {section} value: {exc}") from exc
+    for key, value in raw.items():
+        if key not in SECTIONS:
+            kwargs[key] = _checked(value, hints[key], key)
+        elif value is not None:
+            kwargs[key] = _section_from_json(key, SECTIONS[key], value)
     if not kwargs:
         raise ValueError("experiment spec is empty")
     return ExperimentSpec(**kwargs)
@@ -279,16 +303,19 @@ def _cell_truth(spec: ExperimentSpec, policy: str, h_idx: int, rep: int) -> tupl
     return field, seed
 
 
-def _cell_mask(spec: ExperimentSpec, nsub_idx: int, rep: int) -> np.ndarray:
-    """Sorted prefix of the repeat's permutation: masks nest across counts."""
+def _repeat_masks(spec: ExperimentSpec, rep: int) -> list[np.ndarray]:
+    """One mask per sample count: sorted prefixes of the repeat's permutation,
+    so masks nest across counts."""
     rows, cols = spec.grid
     rng = np.random.default_rng(derive_seed(spec.base_seed, _MASK_STREAM, rep))
     perm = rng.permutation(rows * cols)
-    n = spec.counts[nsub_idx]
-    if not 1 <= n <= rows * cols:
-        raise ValueError(f"sample count {n} out of range for grid {spec.grid}")
-    flat = np.sort(perm[:n])
-    return np.stack(np.unravel_index(flat, (rows, cols)), axis=1).astype(np.int64)
+    masks = []
+    for n in spec.counts:
+        if not 1 <= n <= rows * cols:
+            raise ValueError(f"sample count {n} out of range for grid {spec.grid}")
+        flat = np.sort(perm[:n])
+        masks.append(np.stack(np.unravel_index(flat, (rows, cols)), axis=1).astype(np.int64))
+    return masks
 
 
 def _reconstruct(method: str, samples: SampleSet, spec: ExperimentSpec):
@@ -298,11 +325,12 @@ def _reconstruct(method: str, samples: SampleSet, spec: ExperimentSpec):
     return field, info.get("iterations", 0)
 
 
-def _run_cell(spec: ExperimentSpec, policy: str, h_idx: int, nsub_idx: int, rep: int) -> dict:
-    truth, seed = _cell_truth(spec, policy, h_idx, rep)
-    mask = _cell_mask(spec, nsub_idx, rep)
+def _run_cell(
+    spec: ExperimentSpec, h_idx: int, nsub_idx: int, truth: np.ndarray, seed: int, mask: np.ndarray
+) -> list:
+    """Reconstruct one cell by every method: [(method, recon, row), ...]."""
     samples = subsample(truth, mask)
-    out = {"truth": truth, "mask": mask, "seed": seed, "methods": []}
+    out = []
     for method in spec.methods:
         t0 = time.perf_counter()
         recon, iterations = _reconstruct(method, samples, spec)
@@ -317,7 +345,7 @@ def _run_cell(spec: ExperimentSpec, policy: str, h_idx: int, nsub_idx: int, rep:
             wall_time_s=wall,
             iterations=iterations,
         )
-        out["methods"].append((method, recon, row))
+        out.append((method, recon, row))
     return out
 
 
@@ -326,46 +354,47 @@ def _cell_star(args):
 
 
 def _run_campaign(spec: ExperimentSpec, policy: str, out_dir=None, jobs: int = 1):
-    # mask-major: a mask depends on (count, repeat) only, so the cells of one
-    # mask run back to back and thin-plate reuses its factorization across them
-    items = [
-        (h_idx, nsub_idx, rep)
-        for nsub_idx in range(len(spec.counts))
-        for rep in range(spec.repeats)
-        for h_idx in range(len(spec.hurst_values))
-    ]
+    # a truth depends on (h, repeat) and a mask on (count, repeat), so each is
+    # built once here and shared by its cells, serial or under --jobs. Cells
+    # run repeat-major, then by count, then by h: the cells of one mask stay
+    # back to back and thin-plate reuses its factorization across them
+    hs, counts, repeats = range(len(spec.hurst_values)), range(len(spec.counts)), range(spec.repeats)
+    truths = {(h_idx, rep): _cell_truth(spec, policy, h_idx, rep) for rep in repeats for h_idx in hs}
+    masks = {(nsub_idx, rep): m for rep in repeats for nsub_idx, m in enumerate(_repeat_masks(spec, rep))}
+    items = [(h_idx, nsub_idx, rep) for rep in repeats for nsub_idx in counts for h_idx in hs]
+    args = [(spec, h, n, *truths[h, rep], masks[n, rep]) for h, n, rep in items]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(_cell_star, [(spec, policy) + it for it in items], chunksize=1))
+            cells = list(pool.map(_cell_star, args, chunksize=1))
     else:
         try:
-            cells = [_run_cell(spec, policy, *it) for it in items]
+            cells = [_run_cell(*a) for a in args]
         finally:
             clear_system_memo()  # the campaign's last factor is of no use after it
 
-    rows: list[ResultRow] = []
-    store = _ArtifactStore(out_dir) if out_dir is not None else None
-    manifest = []
-    for (h_idx, nsub_idx, rep), cell in zip(items, cells):
-        for method, recon, row in cell["methods"]:
-            rows.append(row)
-            if store is not None:
-                entry = {
-                    "method": method,
-                    "h": spec.hurst_values[h_idx],
-                    "n_sub": spec.counts[nsub_idx],
-                    "repeat": rep,
-                    "seed": cell["seed"],
-                    "truth": store.put_field(cell["truth"]),
-                    "mask": store.put_mask(cell["mask"]),
-                    "recon": store.put_field(recon),
-                    "rmse": row.rmse,
-                }
-                manifest.append(entry)
-
+    rows = [row for cell in cells for _, _, row in cell]
     order = {m: i for i, m in enumerate(METHODS)}
     rows.sort(key=lambda r: (order[r.method], r.h, r.n_sub, r.seed))
-    if store is not None:
+    if out_dir is not None:
+        store = _ArtifactStore(out_dir)
+        # each distinct truth and mask is encoded, hashed and stored once
+        truth_names = {key: store.put_field(truth) for key, (truth, _) in truths.items()}
+        mask_names = {key: store.put_mask(mask) for key, mask in masks.items()}
+        manifest = [
+            {
+                "method": method,
+                "h": row.h,
+                "n_sub": row.n_sub,
+                "repeat": rep,
+                "seed": row.seed,
+                "truth": truth_names[h_idx, rep],
+                "mask": mask_names[nsub_idx, rep],
+                "recon": store.put_field(recon),
+                "rmse": row.rmse,
+            }
+            for (h_idx, nsub_idx, rep), cell in zip(items, cells)
+            for method, recon, row in cell
+        ]
         manifest.sort(key=lambda e: (order[e["method"]], e["h"], e["n_sub"], e["repeat"]))
         store.write_manifest(manifest)
         _audit_rows(spec, manifest, store)
@@ -468,9 +497,7 @@ class _ArtifactStore:
         return self._put(field_to_bytes(field), ".cvf")
 
     def put_mask(self, mask) -> str:
-        pos = np.asarray(mask, dtype=np.int64).reshape(-1, 2)
-        text = "".join(f"{r},{c}\n" for r, c in pos)
-        return self._put(text.encode(), ".csv")
+        return self._put(mask_to_bytes(mask), ".csv")
 
     def get_field(self, name: str):
         from .fileio import field_from_bytes

@@ -339,7 +339,27 @@ class TestBench:
 
     @pytest.mark.parametrize(
         "key, value, named",
-        [("boxcar", {"window": "5"}, "boxcar"), ("grid", 12, "grid"), ("repeats", "two", "repeats")],
+        [
+            ("boxcar", {"window": "5"}, "boxcar"),
+            ("grid", 12, "grid"),
+            ("repeats", "two", "repeats"),
+            ("repeats", 2.5, "repeats"),
+            ("repeats", "2", "repeats"),
+            ("base_seed", None, "base_seed"),
+            ("grid", [12, 12, 12], "grid"),
+            ("grid", "1212", "grid"),
+            ("hurst_values", [0.5, "0.7"], "hurst_values"),
+            ("methods", "box", "methods"),
+            ("sample_counts", [30.0], "sample_counts"),
+            ("twist", {"monotone": "false"}, "twist.monotone"),
+            ("synthesis", {"periodic": "no"}, "synthesis.periodic"),
+            ("twist", {"max_iters": 5.5}, "twist.max_iters"),
+            ("equality", {"max_iters": True}, "equality.max_iters"),
+            ("boxcar", {"range_adjust": 1}, "boxcar.range_adjust"),
+            ("thin_plate", {"p": "0.5"}, "thin_plate.p"),
+            ("twist", {"lambda": "0.25"}, "twist.lambda"),
+            ("twist", {"alpha": False}, "twist.alpha"),
+        ],
     )
     def test_spec_value_of_wrong_type_exits_1(self, capsys, tmp_path, key, value, named):
         spec = {"grid": [12, 12], "hurst_values": [0.5], "sample_counts": [30], "repeats": 1}

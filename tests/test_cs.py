@@ -24,7 +24,7 @@ from cvfbm import (
 )
 from cvfbm import cs as cs_module
 from cvfbm.cs import _div, _grad, _twist_weights
-from cvfbm.harness import _cell_mask, _cell_truth, table1_spec
+from cvfbm.harness import _cell_truth, _repeat_masks, table1_spec
 
 
 def random_field(rows, cols, seed=0):
@@ -397,7 +397,7 @@ class TestTvEquality:
         # the iteration cap, and the info says so
         spec = table1_spec()
         truth, _ = _cell_truth(spec, "paired", spec.hurst_values.index(0.8), 0)
-        samples = subsample(truth, _cell_mask(spec, 0, 0))
+        samples = subsample(truth, _repeat_masks(spec, 0)[0])
         _, info = tv_equality_reconstruct(samples, spec.equality)
         assert info["iterations"] == spec.equality.max_iters
         assert info["converged"] is False

@@ -10,7 +10,7 @@ from cvfbm import (
     write_pgm,
     write_samples_csv,
 )
-from cvfbm.fileio import field_from_bytes, field_to_bytes
+from cvfbm.fileio import field_from_bytes, field_to_bytes, mask_to_bytes
 
 
 def random_field(rows, cols, seed=0):
@@ -41,6 +41,23 @@ class TestFieldFormat:
         blob = b"XXXX" + field_to_bytes(random_field(2, 2))[4:]
         with pytest.raises(ValueError):
             field_from_bytes(blob)
+
+    def test_signed_zeros_round_trip_bytes(self):
+        # a decode that rebuilds re + 1j*im turns -0.0 into 0.0, so the
+        # re-encoded bytes (and their content hash) would differ
+        f = np.array(
+            [[complex(-0.0, 1.0), complex(2.0, -0.0)], [complex(-0.0, -0.0), complex(0.0, -3.5)]]
+        )
+        blob = field_to_bytes(f)
+        back = field_from_bytes(blob)
+        assert field_to_bytes(back) == blob
+        assert np.signbit(back.real).tolist() == [[True, False], [True, False]]
+        assert np.signbit(back.imag).tolist() == [[False, True], [True, True]]
+
+    def test_decoded_field_is_writable_native_complex(self):
+        back = field_from_bytes(field_to_bytes(random_field(3, 4)))
+        assert back.dtype == np.complex128
+        assert back.flags.c_contiguous and back.flags.writeable
 
     def test_truncated_payload_rejected(self):
         blob = field_to_bytes(random_field(4, 4))
@@ -111,3 +128,24 @@ class TestMaskCsv:
         path = tmp_path / "mask.csv"
         write_mask_csv(path, np.array([[0, 0], [2, 3], [4, 1]]))
         assert path.read_text() == "0,0\n2,3\n4,1\n"
+
+    def test_encoder_matches_per_row_format(self):
+        rng = np.random.default_rng(4)
+        mask = np.stack([rng.integers(0, 12345, 50), rng.integers(0, 7, 50)], axis=1)
+        mask[0] = (0, 0)
+        mask[1] = (10, 123)
+        expected = "".join(f"{r},{c}\n" for r, c in mask).encode()
+        assert mask_to_bytes(mask) == expected
+        assert mask_to_bytes(mask.tolist()) == expected
+
+    def test_empty_mask(self, tmp_path):
+        path = tmp_path / "mask.csv"
+        write_mask_csv(path, np.zeros((0, 2), dtype=np.int64))
+        assert mask_to_bytes(np.zeros((0, 2), dtype=np.int64)) == b""
+        assert path.read_bytes() == b""
+
+    def test_file_holds_encoder_bytes(self, tmp_path):
+        path = tmp_path / "mask.csv"
+        mask = np.array([[99, 1000], [3, 45]])
+        write_mask_csv(path, mask)
+        assert path.read_bytes() == mask_to_bytes(mask) == b"99,1000\n3,45\n"

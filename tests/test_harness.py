@@ -32,8 +32,8 @@ from cvfbm import harness as harness_module
 from cvfbm.harness import (
     _ArtifactStore,
     _audit_rows,
-    _cell_mask,
     _cell_truth,
+    _repeat_masks,
     radial_magnitude_profile,
 )
 
@@ -149,6 +149,9 @@ NON_DEFAULT_SECTIONS = dict(
 )
 
 
+SMALL_SPEC = {"grid": [8, 8], "hurst_values": [0.5], "methods": ["box"], "repeats": 1, "sample_counts": [10]}
+
+
 class TestSpecJson:
     def test_round_trip_counts(self):
         for sections in ({}, NON_DEFAULT_SECTIONS):
@@ -209,6 +212,47 @@ class TestSpecJson:
         )
         assert spec_from_json(text).twist.lam == 0.25
 
+    def test_ints_accepted_as_floats(self):
+        spec = spec_from_json(
+            json.dumps(
+                {
+                    **SMALL_SPEC,
+                    "hurst_values": [1, 0.5],
+                    "target_rms": 1,
+                    "thin_plate": {"p": 1, "epsilon": 0},
+                    "twist": {"lambda": 2, "alpha": 1},
+                }
+            )
+        )
+        assert spec.hurst_values == (1.0, 0.5)
+        assert type(spec.hurst_values[0]) is float
+        assert type(spec.target_rms) is float
+        assert type(spec.thin_plate.p) is float and type(spec.thin_plate.epsilon) is float
+        assert type(spec.twist.lam) is float and type(spec.twist.alpha) is float
+
+    def test_null_where_none_allowed(self):
+        spec = spec_from_json(
+            json.dumps({**SMALL_SPEC, "target_rms": None, "thin_plate": {"p": None}, "twist": {"lambda": None}})
+        )
+        assert spec.target_rms is None
+        assert spec.thin_plate.p is None
+        assert spec.twist.lam is None
+
+    def test_bools_and_strings_kept(self):
+        spec = spec_from_json(
+            json.dumps(
+                {
+                    **SMALL_SPEC,
+                    "synthesis": {"periodic": False, "envelope": "power"},
+                    "twist": {"monotone": False, "beta": "auto"},
+                }
+            )
+        )
+        assert spec.synthesis.periodic is False
+        assert spec.synthesis.envelope == "power"
+        assert spec.twist.monotone is False
+        assert spec.twist.beta == "auto"
+
     def test_lambda_auto(self):
         text = json.dumps(
             {
@@ -225,27 +269,36 @@ class TestSpecJson:
 
 class TestCellStreams:
     def test_masks_nest_across_counts(self):
-        spec = tiny_spec(sample_counts=(10, 40, 90))
-        small = _cell_mask(spec, 0, rep=1)
-        mid = _cell_mask(spec, 1, rep=1)
-        big = _cell_mask(spec, 2, rep=1)
+        small, mid, big = _repeat_masks(tiny_spec(sample_counts=(10, 40, 90)), rep=1)
         as_set = lambda m: {tuple(p) for p in m}
         assert as_set(small) <= as_set(mid) <= as_set(big)
 
+    def test_masks_are_per_count_draws(self):
+        # one permutation per repeat gives the masks that one draw per
+        # (count, repeat) gives
+        spec = tiny_spec(sample_counts=(10, 40, 144))
+        for rep in range(3):
+            for nsub_idx, mask in enumerate(_repeat_masks(spec, rep)):
+                rng = np.random.default_rng(derive_seed(spec.base_seed, harness_module._MASK_STREAM, rep))
+                flat = np.sort(rng.permutation(144)[: spec.counts[nsub_idx]])
+                expected = np.stack(np.unravel_index(flat, (12, 12)), axis=1)
+                assert mask.dtype == np.int64
+                assert np.array_equal(mask, expected)
+
     def test_mask_sorted_row_major(self):
-        mask = _cell_mask(tiny_spec(), 0, rep=0)
+        (mask,) = _repeat_masks(tiny_spec(), rep=0)
         flat = mask[:, 0] * 12 + mask[:, 1]
         assert np.all(np.diff(flat) > 0)
 
     def test_mask_changes_with_repeat(self):
         spec = tiny_spec()
-        a = _cell_mask(spec, 0, rep=0)
-        b = _cell_mask(spec, 0, rep=1)
+        (a,) = _repeat_masks(spec, rep=0)
+        (b,) = _repeat_masks(spec, rep=1)
         assert not np.array_equal(a, b)
 
     def test_mask_count_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            _cell_mask(tiny_spec(sample_counts=(200,)), 0, rep=0)
+            _repeat_masks(tiny_spec(sample_counts=(200,)), rep=0)
 
     def test_paired_policy_shares_noise_across_hurst(self):
         spec = tiny_spec()
@@ -364,7 +417,7 @@ class TestCampaign:
         )
         (row,) = run_table2(spec)
         truth, seed = _cell_truth(spec, "independent", 0, 0)
-        samples = subsample(truth, _cell_mask(spec, 0, 0))
+        samples = subsample(truth, _repeat_masks(spec, 0)[0])
         direct = {
             p: twist_reconstruct(samples, spec.twist, periodic=p) for p in (True, False)
         }
@@ -409,6 +462,45 @@ class TestPersistence:
         # both methods reuse the same truth and mask blobs
         assert manifest[0]["truth"] == manifest[1]["truth"]
         assert manifest[0]["mask"] == manifest[1]["mask"]
+
+    def test_store_identical_across_jobs(self, tmp_path):
+        spec = tiny_spec(hurst_values=(0.5, 0.7, 0.9), sample_counts=(30, 60))
+        run_table2(spec, out_dir=tmp_path / "serial")
+        run_table2(spec, out_dir=tmp_path / "parallel", jobs=2)
+        files = lambda root: {p.name: p.read_bytes() for p in (root / "store").iterdir()}
+        serial = files(tmp_path / "serial")
+        assert serial == files(tmp_path / "parallel")
+        assert len(serial) == 3 * 2 + 2 * 2 + 3 * 2 * 2 * 2  # truths + masks + recons
+        manifest = lambda root: (root / "manifest.json").read_bytes()
+        assert manifest(tmp_path / "serial") == manifest(tmp_path / "parallel")
+
+    def test_each_artifact_built_and_stored_once(self, tmp_path, monkeypatch):
+        # a truth depends on (h, repeat) and a mask on (count, repeat): the
+        # cells of every count share the truth and each blob is put once
+        synth_calls, puts = [], []
+        synthesize = harness_module.synthesize_cvfbm
+        put = _ArtifactStore._put
+
+        def counted_synthesize(*args, **kwargs):
+            synth_calls.append(args[0])
+            return synthesize(*args, **kwargs)
+
+        def counted_put(self, blob, ext):
+            name = put(self, blob, ext)
+            puts.append(name)
+            return name
+
+        monkeypatch.setattr(harness_module, "synthesize_cvfbm", counted_synthesize)
+        monkeypatch.setattr(_ArtifactStore, "_put", counted_put)
+        spec = tiny_spec(hurst_values=(0.5, 0.7, 0.9), sample_counts=(30, 60, 90), repeats=2)
+        rows = run_table2(spec, out_dir=tmp_path)
+        assert len(rows) == 3 * 3 * 2 * 2
+        assert len(synth_calls) == 3 * 2  # hurst values x repeats
+        blobs = sorted(p.name for p in (tmp_path / "store").iterdir())
+        assert sorted(puts) == blobs
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert len({e["truth"] for e in manifest}) == 3 * 2
+        assert len({e["mask"] for e in manifest}) == 3 * 2
 
     def test_audit_detects_corruption(self, tmp_path):
         spec = tiny_spec(hurst_values=(0.5,), repeats=1)
