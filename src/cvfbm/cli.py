@@ -91,6 +91,8 @@ def _cmd_sample(args) -> int:
     rows, cols = field.shape
     if (args.n is None) == (args.factor is None):
         raise ValueError("give exactly one of --n or --factor")
+    if args.factor is not None and args.factor < 1:
+        raise ValueError(f"--factor must be at least 1, got {args.factor}")
     n = args.n if args.n is not None else rows * cols // args.factor
     mask = random_mask(rows, cols, n, args.seed)
     samples = subsample(field, mask)
@@ -226,13 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--diagnostics", type=Path, default=None, help="write solver details as JSON")
-    p.add_argument("--window", type=int, default=11, help="boxcar window side")
-    p.add_argument("--range-adjust", choices=("affine", "none"), default="affine")
+    p.add_argument("--window", type=int, default=None, help="boxcar window side")
+    p.add_argument("--range-adjust", choices=("affine", "none"), default=None)
     p.add_argument("--p", type=float, default=None, help="thin-plate smoothing weight in (0, 1]")
-    p.add_argument("--epsilon", type=float, default=0.0, help="thin-plate ridge term")
+    p.add_argument("--epsilon", type=float, default=None, help="thin-plate ridge term")
     p.add_argument("--lambda", dest="lam", type=float, default=None, help="TV weight")
     p.add_argument("--max-iters", type=int, default=None, help="iteration cap (default: the method's own)")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--allow-large", action="store_true", help="lift the basis-pursuit size guard")
     p.set_defaults(func=_cmd_recon)
 

@@ -317,6 +317,9 @@ class TwistConfig:
             raise ValueError("max_iters must be positive")
         if self.tv_inner_iters < 1:
             raise ValueError("tv_inner_iters must be at least 1")
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if isinstance(value, str) and value != "auto":
+                raise ValueError(f"{name} must be a number or 'auto', got {value!r}")
 
 
 def _twist_weights(cfg: TwistConfig) -> tuple[float, float]:

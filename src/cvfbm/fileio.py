@@ -23,30 +23,25 @@ __all__ = [
 ]
 
 _MAGIC = b"CVF1"
+_CELL = np.dtype("<c16")  # one f64le (re, im) pair per grid cell, row-major
 
 
 def field_to_bytes(field) -> bytes:
     """Serialize: magic 'CVF1', u32le rows, u32le cols, f64le re/im pairs row-major."""
     f = as_field(field)
-    rows, cols = f.shape
-    header = _MAGIC + np.array([rows, cols], dtype="<u4").tobytes()
-    inter = np.empty((rows, cols, 2), dtype="<f8")
-    inter[..., 0] = f.real
-    inter[..., 1] = f.imag
-    return header + inter.tobytes()
+    return _MAGIC + np.array(f.shape, dtype="<u4").tobytes() + f.astype(_CELL, copy=False).tobytes()
 
 
 def field_from_bytes(blob: bytes) -> np.ndarray:
     if blob[:4] != _MAGIC:
         raise ValueError("not a CVF1 payload (bad magic)")
-    rows, cols = np.frombuffer(blob, dtype="<u4", count=2, offset=4)
-    rows, cols = int(rows), int(cols)
-    expected = 12 + rows * cols * 16
+    rows, cols = map(int, np.frombuffer(blob, dtype="<u4", count=2, offset=4))
+    expected = 12 + rows * cols * _CELL.itemsize
     if len(blob) != expected:
         raise ValueError(f"CVF1 payload truncated: {len(blob)} bytes, expected {expected}")
     # the re/im pairs are the memory layout of complex128: a copy keeps every
     # bit, signed zeros included, so decoding inverts field_to_bytes exactly
-    return np.frombuffer(blob, dtype="<c16", offset=12).reshape(rows, cols).astype(np.complex128)
+    return np.frombuffer(blob, dtype=_CELL, offset=12).reshape(rows, cols).astype(np.complex128)
 
 
 def write_cvf1(path, field) -> None:
@@ -96,7 +91,7 @@ def read_samples_csv(path, rows: int, cols: int) -> SampleSet:
                 continue
             pos.append((int(line[0]), int(line[1])))
             vals.append(complex(float(line[2]), float(line[3])))
-    return SampleSet(rows, cols, np.array(pos, dtype=np.int64).reshape(-1, 2), np.array(vals, dtype=complex))
+    return SampleSet(rows, cols, pos, vals)
 
 
 def mask_to_bytes(mask) -> bytes:

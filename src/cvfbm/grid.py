@@ -6,7 +6,7 @@ mutates its input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,6 +15,7 @@ __all__ = [
     "dft2",
     "idft2",
     "take_quadrant",
+    "flat_positions",
     "SampleSet",
     "mirror_extend_samples",
 ]
@@ -55,12 +56,24 @@ def take_quadrant(f) -> np.ndarray:
     return f[: rows // 2, : cols // 2].copy()
 
 
+def flat_positions(positions, rows: int, cols: int) -> np.ndarray:
+    """Row-major flat indices of (row, col) positions; ValueError unless in bounds and distinct."""
+    pos = np.asarray(positions, dtype=np.int64).reshape(-1, 2)
+    if len(pos) and (pos.min() < 0 or pos[:, 0].max() >= rows or pos[:, 1].max() >= cols):
+        raise ValueError(f"position out of bounds for a {rows}x{cols} grid")
+    flat = pos[:, 0] * cols + pos[:, 1]
+    ordered = np.sort(flat)  # a sort finds repeats far faster than np.unique's hashing
+    if np.any(ordered[1:] == ordered[:-1]):
+        raise ValueError("duplicate positions")
+    return flat
+
+
 @dataclass(frozen=True)
 class SampleSet:
     """Scattered known values on a grid: positions (n, 2) int and values (n,).
 
-    Positions are (row, col) pairs, unique and in bounds. Order is
-    significant: it fixes the layout of measurement vectors.
+    Positions are (row, col) pairs, unique and in bounds; values are finite.
+    Order is significant: it fixes the layout of measurement vectors.
     """
 
     rows: int
@@ -73,21 +86,14 @@ class SampleSet:
         val = np.asarray(self.values, dtype=np.complex128).reshape(-1)
         if len(pos) != len(val):
             raise ValueError("positions and values differ in length")
-        if len(pos):
-            if pos.min() < 0 or pos[:, 0].max() >= self.rows or pos[:, 1].max() >= self.cols:
-                raise ValueError("sample position out of bounds")
-            flat = pos[:, 0] * self.cols + pos[:, 1]
-            if len(np.unique(flat)) != len(flat):
-                raise ValueError("duplicate sample positions")
+        flat_positions(pos, self.rows, self.cols)
+        if not np.isfinite(val).all():
+            raise ValueError("sample values contain NaN or Inf")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "values", val)
 
     def __len__(self) -> int:
         return len(self.values)
-
-    @property
-    def flat_indices(self) -> np.ndarray:
-        return self.positions[:, 0] * self.cols + self.positions[:, 1]
 
 
 def mirror_extend_samples(samples: SampleSet) -> SampleSet:

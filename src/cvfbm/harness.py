@@ -39,7 +39,7 @@ from .cs import (
 from .fileio import field_to_bytes, mask_to_bytes, write_pgm
 from .grid import SampleSet, as_field, dft2
 from .metrics import radial_bins, rmse as rmse_metric, snr_db as snr_metric
-from .sampling import subsample
+from .sampling import mask_from_draw, subsample
 from .synthesis import normalize_dynamic_range, synthesize_cvfbm
 
 __all__ = [
@@ -128,6 +128,10 @@ class ExperimentSpec:
             raise ValueError("repeats must be at least 1")
         if (self.sample_counts is None) == (self.subsampling_factors is None):
             raise ValueError("give exactly one of sample_counts or subsampling_factors")
+        if not (self.sample_counts or self.subsampling_factors):
+            raise ValueError("sample_counts or subsampling_factors must be nonempty")
+        if self.subsampling_factors is not None and min(self.subsampling_factors) < 1:
+            raise ValueError("subsampling factors must be at least 1")
         if self.target_rms is not None and self.target_rms <= 0:
             raise ValueError("target_rms must be positive")
 
@@ -309,13 +313,7 @@ def _repeat_masks(spec: ExperimentSpec, rep: int) -> list[np.ndarray]:
     rows, cols = spec.grid
     rng = np.random.default_rng(derive_seed(spec.base_seed, _MASK_STREAM, rep))
     perm = rng.permutation(rows * cols)
-    masks = []
-    for n in spec.counts:
-        if not 1 <= n <= rows * cols:
-            raise ValueError(f"sample count {n} out of range for grid {spec.grid}")
-        flat = np.sort(perm[:n])
-        masks.append(np.stack(np.unravel_index(flat, (rows, cols)), axis=1).astype(np.int64))
-    return masks
+    return [mask_from_draw(rows, cols, n, lambda n: perm[:n]) for n in spec.counts]
 
 
 def _reconstruct(method: str, samples: SampleSet, spec: ExperimentSpec):

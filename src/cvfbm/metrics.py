@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,9 +49,6 @@ class EvalReport:
     mse: float
     rmse: float
     snr_db: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def evaluate(truth, est) -> EvalReport:

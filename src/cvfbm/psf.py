@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j1
 
 __all__ = [
     "shear_coords",
@@ -60,6 +59,8 @@ class RadialProfile:
             return np.exp(-0.5 * u**2)
         if self.kind == "moffat":
             return (1.0 + u**2) ** (-self.beta)
+        # imported here: scipy.special costs about half of `import cvfbm`
+        from scipy.special import j1
         out = np.ones_like(u)
         nz = u > 0
         out[nz] = (2.0 * j1(u[nz]) / u[nz]) ** 2

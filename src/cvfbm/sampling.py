@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import SampleSet, as_field, dft2, idft2
+from .grid import SampleSet, as_field, dft2, flat_positions, idft2
 
 __all__ = [
     "random_mask",
@@ -19,28 +19,33 @@ __all__ = [
 ]
 
 
+def mask_from_draw(rows: int, cols: int, n: int, draw) -> np.ndarray:
+    """The n flat indices ``draw(n)`` returns as an (n, 2) int64 mask.
+
+    ``draw`` is called only once n is known to lie in [1, rows*cols]; its
+    distinct indices are sorted into canonical row-major order.
+    """
+    total = rows * cols
+    if not 1 <= n <= total:
+        raise ValueError(f"sample count {n} out of range [1, {total}] for a {rows}x{cols} grid")
+    flat = np.sort(draw(n))
+    return np.stack(np.unravel_index(flat, (rows, cols)), axis=1).astype(np.int64)
+
+
 def random_mask(rows: int, cols: int, n_sub: int, seed) -> np.ndarray:
     """n_sub distinct grid positions, uniform without replacement.
 
     Deterministic in ``seed``; returned in canonical row-major order.
     """
-    total = rows * cols
-    if not 1 <= n_sub <= total:
-        raise ValueError(f"n_sub must be in [1, {total}], got {n_sub}")
     rng = np.random.default_rng(seed)
-    flat = np.sort(rng.choice(total, size=n_sub, replace=False))
-    return np.stack(np.unravel_index(flat, (rows, cols)), axis=1).astype(np.int64)
+    return mask_from_draw(rows, cols, n_sub, lambda n: rng.choice(rows * cols, size=n, replace=False))
 
 
 def subsample(field, mask) -> SampleSet:
     """Read the field values at mask positions, in mask order."""
     f = as_field(field)
-    pos = np.asarray(mask, dtype=np.int64).reshape(-1, 2)
-    if len(pos) == 0:
-        return SampleSet(f.shape[0], f.shape[1], pos, np.zeros(0, complex))
-    if pos.min() < 0 or pos[:, 0].max() >= f.shape[0] or pos[:, 1].max() >= f.shape[1]:
-        raise ValueError("mask position out of bounds")
-    return SampleSet(f.shape[0], f.shape[1], pos, f[pos[:, 0], pos[:, 1]])
+    flat = flat_positions(mask, *f.shape)
+    return SampleSet(f.shape[0], f.shape[1], mask, f.ravel()[flat])
 
 
 class MeasurementOperator:
@@ -54,23 +59,12 @@ class MeasurementOperator:
     def __init__(self, rows: int, cols: int, mask, mode: str = "selection"):
         if mode not in ("selection", "partial_fourier"):
             raise ValueError(f"unknown operator mode {mode!r}")
-        pos = np.asarray(mask, dtype=np.int64).reshape(-1, 2)
-        if len(pos) == 0:
+        self._flat = flat_positions(mask, rows, cols)
+        if len(self._flat) == 0:
             raise ValueError("empty mask")
-        if pos.min() < 0 or pos[:, 0].max() >= rows or pos[:, 1].max() >= cols:
-            raise ValueError("mask position out of bounds")
-        flat = pos[:, 0] * cols + pos[:, 1]
-        if len(np.unique(flat)) != len(flat):
-            raise ValueError("duplicate mask positions")
         self.rows = int(rows)
         self.cols = int(cols)
-        self.mask = pos
         self.mode = mode
-        self._flat = flat
-
-    @property
-    def n_measurements(self) -> int:
-        return len(self._flat)
 
     def forward(self, x) -> np.ndarray:
         x = as_field(x)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cvfbm import harness, read_cvf1, read_samples_csv, write_cvf1
-from cvfbm.cli import main
+from cvfbm.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -46,6 +46,16 @@ class TestExitCodes:
         )
         assert code == 1
         assert "exactly one" in json.loads(err.strip())["error"]
+
+    def test_zero_factor_exits_1(self, capsys, tmp_path):
+        field_path = tmp_path / "f.cvf"
+        write_cvf1(field_path, np.ones((4, 4), dtype=complex))
+        code, _, err = run_cli(
+            capsys, "sample", "--field", str(field_path), "--factor", "0", "--out", str(tmp_path / "s.csv")
+        )
+        assert code == 1
+        assert "--factor must be at least 1" in json.loads(err.strip())["error"]
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestSynth:
@@ -265,6 +275,37 @@ class TestSampleAndRecon:
         assert last_json(stdout)["iterations"] == 3
         assert read_cvf1(tmp_path / "r.cvf").shape == (72, 72)
 
+    def test_recon_flags_default_to_none(self):
+        # the config dataclasses are the one place a recon default is written
+        args = build_parser().parse_args(
+            ["recon", "--samples", "s.csv", "--rows", "4", "--cols", "4", "--method", "box", "--out", "r.cvf"]
+        )
+        for name in ("window", "range_adjust", "p", "epsilon", "lam", "max_iters", "tol"):
+            assert getattr(args, name) is None, name
+
+    @pytest.mark.parametrize("method", harness.METHODS)
+    def test_nan_sample_rejected_up_front(self, capfd, tmp_path, method):
+        # rejected when the samples are read, so no solver sees the NaN (box
+        # would fail inside LAPACK, which writes to stderr itself, and tp
+        # would return an all-NaN field)
+        rng = np.random.default_rng(3)
+        lines = ["row,col,e1,e2"] + [f"{i},{5 * i % 16},{rng.normal()!r},{rng.normal()!r}" for i in range(16)]
+        lines[7] = "6,14,nan,0.5"
+        path = tmp_path / "s.csv"
+        path.write_text("\n".join(lines) + "\n")
+        section, solve = harness.REGISTRY[method]
+        with pytest.raises(ValueError, match="NaN"):
+            solve(read_samples_csv(path, 16, 16), harness.SECTIONS[section](), periodic=False, allow_large=False)
+        code = main(
+            ["recon", "--samples", str(path), "--rows", "16", "--cols", "16",
+             "--method", method, "--out", str(tmp_path / "r.cvf")]
+        )
+        out, err = capfd.readouterr()
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert "NaN" in json.loads(err)["error"]
+        assert not (tmp_path / "r.cvf").exists()
+
 
 class TestEval:
     def test_self_comparison(self, capsys, field_file):
@@ -371,6 +412,25 @@ class TestBench:
         assert code == 1
         assert len(err.strip().splitlines()) == 1
         assert named in json.loads(err)["error"]
+
+    @pytest.mark.parametrize(
+        "counts, named",
+        [
+            ({"subsampling_factors": [0]}, "at least 1"),
+            ({"subsampling_factors": [2, 0]}, "at least 1"),
+            ({"sample_counts": []}, "nonempty"),
+        ],
+    )
+    def test_degenerate_counts_exit_1(self, capsys, tmp_path, counts, named):
+        spec_path = tmp_path / "spec.json"
+        spec = {"grid": [12, 12], "hurst_values": [0.5], "methods": ["box"], "repeats": 1}
+        spec_path.write_text(json.dumps({**spec, **counts}))
+        out_dir = tmp_path / "b"
+        code, _, err = run_cli(capsys, "bench", "table2", "--out-dir", str(out_dir), "--spec", str(spec_path))
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert named in json.loads(err)["error"]
+        assert not out_dir.exists()
 
 
 class TestStarAndProfile:

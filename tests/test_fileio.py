@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,20 @@ class TestFieldFormat:
         assert field_to_bytes(back) == blob
         assert np.signbit(back.real).tolist() == [[True, False], [True, False]]
         assert np.signbit(back.imag).tolist() == [[False, True], [True, True]]
+
+    @pytest.mark.parametrize("layout", ["c", "transposed", "fortran"])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (100, 100)])
+    def test_payload_is_row_major_re_im_pairs(self, shape, layout):
+        f = random_field(*shape, seed=4)
+        if layout == "transposed":
+            f = random_field(shape[1], shape[0], seed=4).T
+        elif layout == "fortran":
+            f = np.asfortranarray(f)
+        rows, cols = f.shape
+        expected = struct.pack("<4sII", b"CVF1", rows, cols) + b"".join(
+            struct.pack("<dd", f[r, c].real, f[r, c].imag) for r in range(rows) for c in range(cols)
+        )
+        assert field_to_bytes(f) == expected
 
     def test_decoded_field_is_writable_native_complex(self):
         back = field_from_bytes(field_to_bytes(random_field(3, 4)))
@@ -112,6 +128,13 @@ class TestSamplesCsv:
         path.write_text("row,col,re,im\n0,0,1.5,-2.5\n")
         s = read_samples_csv(path, 2, 2)
         assert s.values[0] == 1.5 - 2.5j
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = tmp_path / "samples.csv"
+        path.write_text(f"row,col,e1,e2\n0,0,1.0,2.0\n1,1,0.5,{value}\n")
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            read_samples_csv(path, 2, 2)
 
     def test_values_exact_through_text(self, tmp_path):
         # repr round-trips doubles exactly

@@ -12,6 +12,7 @@ from cvfbm import (
     subsample,
     take_quadrant,
 )
+from cvfbm.grid import flat_positions
 
 
 def mirror_extend(f):
@@ -146,13 +147,26 @@ class TestSampleSet:
             )
 
     def test_flat_indices_row_major(self):
-        s = SampleSet(
-            rows=3,
-            cols=5,
-            positions=np.array([[0, 1], [2, 4]]),
-            values=np.array([1.0 + 0j, 2.0 + 0j]),
-        )
-        assert list(s.flat_indices) == [1, 14]
+        assert list(flat_positions(np.array([[0, 1], [2, 4]]), 3, 5)) == [1, 14]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf), complex(1, np.nan)])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            SampleSet(rows=4, cols=4, positions=np.array([[0, 0], [1, 2]]), values=np.array([1.0, bad]))
+
+
+class TestFlatPositions:
+    @pytest.mark.parametrize("pos", [[[-1, 0]], [[0, -1]], [[3, 0]], [[0, 5]]])
+    def test_out_of_bounds_rejected(self, pos):
+        with pytest.raises(ValueError, match="out of bounds"):
+            flat_positions(np.array(pos), 3, 5)
+
+    def test_duplicate_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            flat_positions(np.array([[1, 2], [0, 0], [1, 2]]), 3, 5)
+
+    def test_empty_is_empty(self):
+        assert flat_positions(np.zeros((0, 2)), 3, 5).shape == (0,)
 
 
 class TestMirrorExtendSamples:

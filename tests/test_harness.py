@@ -99,6 +99,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="exactly one"):
             tiny_spec(sample_counts=None)
 
+    def test_empty_counts_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            tiny_spec(sample_counts=())
+        with pytest.raises(ValueError, match="nonempty"):
+            tiny_spec(sample_counts=None, subsampling_factors=())
+
+    @pytest.mark.parametrize("factors", [(0,), (2, 0), (-1,)])
+    def test_factor_below_one_rejected(self, factors):
+        with pytest.raises(ValueError, match="at least 1"):
+            tiny_spec(sample_counts=None, subsampling_factors=factors)
+
     def test_target_rms_positive(self):
         with pytest.raises(ValueError, match="target_rms"):
             tiny_spec(target_rms=0.0)
@@ -252,6 +263,14 @@ class TestSpecJson:
         assert spec.synthesis.envelope == "power"
         assert spec.twist.monotone is False
         assert spec.twist.beta == "auto"
+
+    @pytest.mark.parametrize("key", ["alpha", "beta"])
+    def test_twist_weight_string_must_be_auto(self, key):
+        with pytest.raises(ValueError, match=f"{key} must be a number or 'auto'"):
+            spec_from_json(json.dumps({**SMALL_SPEC, "twist": {key: "fast"}}))
+        for value in ("auto", 1.25, 2):
+            spec = spec_from_json(json.dumps({**SMALL_SPEC, "twist": {key: value}}))
+            assert getattr(spec.twist, key) == value
 
     def test_lambda_auto(self):
         text = json.dumps(

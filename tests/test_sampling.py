@@ -32,10 +32,9 @@ class TestRandomMask:
         assert np.all(np.diff(flat) > 0)
 
     def test_count_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            random_mask(4, 4, 0, seed=0)
-        with pytest.raises(ValueError):
-            random_mask(4, 4, 17, seed=0)
+        for n in (-1, 0, 17):
+            with pytest.raises(ValueError, match="out of range"):
+                random_mask(4, 4, n, seed=0)
 
     def test_single_draws_uniform(self):
         # 1e4 single-cell draws on a 10x10 grid: every cell within 4 sigma of 100
@@ -64,8 +63,21 @@ class TestSubsample:
 
     def test_out_of_bounds_rejected(self):
         f = random_field(4, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="out of bounds"):
             subsample(f, np.array([[4, 0]]))
+
+    def test_negative_position_rejected(self):
+        # a negative index would otherwise wrap around to the far edge
+        with pytest.raises(ValueError, match="out of bounds"):
+            subsample(random_field(4, 4), np.array([[0, -1]]))
+
+    def test_duplicate_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            subsample(random_field(4, 4), np.array([[1, 1], [1, 1]]))
+
+    def test_empty_mask_gives_empty_samples(self):
+        s = subsample(random_field(4, 4), np.zeros((0, 2), dtype=np.int64))
+        assert len(s) == 0 and s.positions.shape == (0, 2)
 
 
 class TestMeasurementOperator:
@@ -111,6 +123,20 @@ class TestMeasurementOperator:
         op = MeasurementOperator(8, 8, mask, mode=mode)
         y = rng.normal(size=30) + 1j * rng.normal(size=30)
         assert np.max(np.abs(op.forward(op.adjoint(y)) - y)) < 1e-12
+
+    @pytest.mark.parametrize("mode", ["selection", "partial_fourier"])
+    @pytest.mark.parametrize(
+        "mask, message",
+        [
+            (np.zeros((0, 2), dtype=np.int64), "empty"),
+            (np.array([[0, 0], [4, 1]]), "out of bounds"),
+            (np.array([[0, 0], [1, -1]]), "out of bounds"),
+            (np.array([[2, 3], [0, 0], [2, 3]]), "duplicate"),
+        ],
+    )
+    def test_bad_mask_rejected(self, mode, mask, message):
+        with pytest.raises(ValueError, match=message):
+            MeasurementOperator(4, 4, mask, mode=mode)
 
     def test_dimension_mismatch_rejected(self):
         op = MeasurementOperator(4, 4, random_mask(4, 4, 5, seed=0))
