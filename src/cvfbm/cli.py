@@ -23,13 +23,13 @@ from .fileio import (
     read_samples_csv,
     write_cvf1,
     write_mask_csv,
+    write_pgm,
     write_samples_csv,
 )
 from .harness import (
     METHODS,
     REGISTRY,
     SECTIONS,
-    emit_figure_data,
     run_table1,
     run_table2,
     spec_from_json,
@@ -71,7 +71,8 @@ def _cmd_synth(args) -> int:
         field = normalize_dynamic_range(field, args.target_rms)
     write_cvf1(args.out, field)
     if args.pgm is not None:
-        emit_figure_data("field-images", args.pgm, field=field)
+        write_pgm(args.pgm.with_suffix(".re.pgm"), field.real)
+        write_pgm(args.pgm.with_suffix(".im.pgm"), field.imag)
     _emit(
         {
             "out": str(args.out),
@@ -109,10 +110,21 @@ def _cmd_recon(args) -> int:
         args.method = "box"
     section, solve = REGISTRY[args.method]
     # the recon flags are named after the config fields they set; a flag left
-    # at None keeps the config's own default
+    # at None keeps the config's own default, and one that sets a field of
+    # another method's config only is an error, not a silent no-op
     cls = SECTIONS[section]
-    given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(cls)}
-    cfg = cls(**{name: value for name, value in given.items() if value is not None})
+    own = {f.name for f in dataclasses.fields(cls)}
+    given = {
+        f.name: getattr(args, f.name)
+        for config in SECTIONS.values()
+        for f in dataclasses.fields(config)
+        if getattr(args, f.name, None) is not None
+    }
+    foreign = [name for name in given if name not in own]
+    if foreign:
+        flags = ", ".join("--lambda" if n == "lam" else "--" + n.replace("_", "-") for n in foreign)
+        raise ValueError(f"{flags}: no such setting for --method {args.method}")
+    cfg = cls(**given)
     # a samples CSV says nothing about the field's boundary, so solve as free
     field, info = solve(samples, cfg, periodic=False, allow_large=args.allow_large)
     write_cvf1(args.out, field)
@@ -168,8 +180,6 @@ def _cmd_star(args) -> int:
     q = brightness_moments(img)
     e_hat = ellipticity_from_moments(q, form=args.form)
     if args.out is not None:
-        from .fileio import write_pgm
-
         write_pgm(args.out, img)
     _emit(
         {

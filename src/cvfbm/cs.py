@@ -248,9 +248,10 @@ def tv_equality_reconstruct(
     Primal-dual splitting over the stacked operator [grad; A]: the gradient
     dual is clipped to the unit complex-magnitude ball, the data dual
     accumulates constraint violations (a running penalty on the equality
-    constraints), and steps tau = sigma = penalty/3 respect the operator norm
-    bound ||[grad; A]||^2 <= 9. A final exact projection lands the iterate on
-    the constraint set, so the reported residual is at rounding level.
+    constraints), and steps tau = penalty/3 and sigma = 1/(3*penalty), whose
+    product 1/9 respects the operator norm bound ||[grad; A]||^2 <= 9. A final
+    exact projection lands the iterate on the constraint set, so the reported
+    residual is at rounding level.
     """
     if len(samples) == 0:
         raise ValueError("no samples")

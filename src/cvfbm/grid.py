@@ -47,6 +47,16 @@ def idft2(F) -> np.ndarray:
     return np.fft.ifft2(F) * np.sqrt(F.size)
 
 
+def radial_sq(rows: int, cols: int) -> np.ndarray:
+    """Squared radial frequency wr^2 + wc^2 of each bin of a rows x cols DFT.
+
+    Per axis, bin k is the signed integer frequency k for k <= N/2 and k - N
+    above (FFT layout), so every entry is a whole number held in float64.
+    """
+    wr, wc = (np.fft.fftfreq(n, d=1.0 / n) for n in (rows, cols))
+    return wr[:, None] ** 2 + wc[None, :] ** 2
+
+
 def take_quadrant(f) -> np.ndarray:
     """Return the top-left M x N quadrant of a 2M x 2N grid."""
     f = as_field(f)

@@ -15,7 +15,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -36,9 +36,9 @@ from .cs import (
     tv_equality_reconstruct,
     twist_reconstruct,
 )
-from .fileio import field_to_bytes, mask_to_bytes, write_pgm
-from .grid import SampleSet, as_field, dft2
-from .metrics import radial_bins, rmse as rmse_metric, snr_db as snr_metric
+from .fileio import field_from_bytes, field_to_bytes, mask_to_bytes
+from .grid import SampleSet
+from .metrics import rmse as rmse_metric, snr_db as snr_metric
 from .sampling import mask_from_draw, subsample
 from .synthesis import normalize_dynamic_range, synthesize_cvfbm
 
@@ -53,7 +53,6 @@ __all__ = [
     "run_table2",
     "mean_table",
     "write_results_csv",
-    "emit_figure_data",
 ]
 
 # method name -> (the ExperimentSpec field that holds its config, solve). A
@@ -271,6 +270,9 @@ def spec_from_json(text: str) -> ExperimentSpec:
             kwargs[key] = _section_from_json(key, SECTIONS[key], value)
     if not kwargs:
         raise ValueError("experiment spec is empty")
+    missing = [f.name for f in fields(ExperimentSpec) if f.default is MISSING and f.name not in kwargs]
+    if missing:
+        raise ValueError(f"missing spec keys: {missing}")
     return ExperimentSpec(**kwargs)
 
 
@@ -438,8 +440,6 @@ def mean_table(rows: list[ResultRow]) -> dict:
         key: {
             "rmse": float(np.mean([r.rmse for r in group])),
             "snr_db": float(np.mean([r.snr_db for r in group])),
-            "rmse_std": float(np.std([r.rmse for r in group])),
-            "snr_db_std": float(np.std([r.snr_db for r in group])),
             "n": len(group),
         }
         for key, group in acc.items()
@@ -498,70 +498,8 @@ class _ArtifactStore:
         return self._put(mask_to_bytes(mask), ".csv")
 
     def get_field(self, name: str):
-        from .fileio import field_from_bytes
-
         return field_from_bytes((self.store / name).read_bytes())
 
     def write_manifest(self, manifest: list) -> None:
         (self.root / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
-
-# ---------------------------------------------------------------------------
-# figure data
-
-def radial_magnitude_profile(field) -> tuple[np.ndarray, np.ndarray]:
-    """Mean |spectrum| per exact radial frequency, up to min(rows, cols)/2."""
-    f = as_field(field)
-    r2, means = radial_bins(np.abs(dft2(f)), min(f.shape) / 2.0)
-    return np.sqrt(r2.astype(float)), means
-
-
-TRACE_START = 101
-TRACE_STOP = 200  # inclusive
-
-
-def emit_figure_data(kind: str, out_prefix, field=None, traces: dict | None = None) -> list:
-    """Write plot-ready files; returns the created paths.
-
-    kinds: "field-images" (re/im PGM pair of ``field``), "spectrum"
-    (radius, mean |spectrum| CSV of ``field``), "trace" (values of each field
-    in ``traces`` at flattened indices 101..200; a "truth" entry is listed
-    first when present).
-    """
-    out_prefix = Path(out_prefix)
-    if kind == "field-images":
-        f = as_field(field)
-        paths = [out_prefix.with_suffix(".re.pgm"), out_prefix.with_suffix(".im.pgm")]
-        write_pgm(paths[0], f.real)
-        write_pgm(paths[1], f.imag)
-        return paths
-    if kind == "spectrum":
-        radii, means = radial_magnitude_profile(field)
-        path = out_prefix.with_suffix(".csv")
-        lines = ["omega,mean_magnitude"] + [
-            f"{r:.10g},{m:.10e}" for r, m in zip(radii, means)
-        ]
-        path.write_text("\n".join(lines) + "\n")
-        return [path]
-    if kind == "trace":
-        if not traces:
-            raise ValueError("trace needs at least one named field")
-        names = sorted(traces, key=lambda n: (n != "truth", n))
-        flats = {n: as_field(traces[n]).ravel() for n in names}
-        size = len(next(iter(flats.values())))
-        if any(len(v) != size for v in flats.values()):
-            raise ValueError("trace fields differ in size")
-        if size <= TRACE_STOP:
-            raise ValueError(f"trace needs more than {TRACE_STOP} grid cells")
-        header = ["index"] + [f"{n}_{part}" for n in names for part in ("re", "im")]
-        lines = [",".join(header)]
-        for i in range(TRACE_START, TRACE_STOP + 1):
-            vals = []
-            for n in names:
-                v = flats[n][i]
-                vals += [f"{v.real:.10e}", f"{v.imag:.10e}"]
-            lines.append(",".join([str(i)] + vals))
-        path = out_prefix.with_suffix(".csv")
-        path.write_text("\n".join(lines) + "\n")
-        return [path]
-    raise ValueError(f"unknown figure kind {kind!r}")

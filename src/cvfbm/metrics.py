@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import as_field, dft2
+from .grid import as_field, dft2, radial_sq
 
 __all__ = ["mse", "rmse", "snr_db", "EvalReport", "evaluate", "radial_spectrum_slope"]
 
@@ -64,10 +64,7 @@ def radial_bins(mags, rmax: float) -> tuple[np.ndarray, np.ndarray]:
     squared radii wx^2 + wy^2 in [1, rmax^2] (exact, so grouping by them is
     collision-free) and the mean of ``mags`` over each.
     """
-    rows, cols = mags.shape
-    wr = np.fft.fftfreq(rows, d=1.0 / rows)
-    wc = np.fft.fftfreq(cols, d=1.0 / cols)
-    r2 = (wr[:, None] ** 2 + wc[None, :] ** 2).astype(np.int64).ravel()
+    r2 = radial_sq(*mags.shape).astype(np.int64).ravel()
     keep = (r2 >= 1) & (r2 <= rmax * rmax)
     uniq, inv = np.unique(r2[keep], return_inverse=True)
     return uniq, np.bincount(inv, weights=mags.ravel()[keep]) / np.bincount(inv)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import as_field, dft2, idft2, take_quadrant
+from .grid import as_field, dft2, idft2, radial_sq, take_quadrant
 
 __all__ = [
     "spectral_envelope",
@@ -23,17 +23,6 @@ def _check_hurst(h: float) -> float:
     if not 0.0 < h < 1.0:
         raise ValueError(f"hurst parameter must lie in (0, 1), got {h}")
     return h
-
-
-def radial_frequency(rows: int, cols: int) -> np.ndarray:
-    """|omega| on the grid, using signed integer frequencies per axis.
-
-    Bin k maps to k for k <= N/2 and k - N above, i.e. the standard centered
-    convention in FFT layout.
-    """
-    wr = np.fft.fftfreq(rows, d=1.0 / rows)
-    wc = np.fft.fftfreq(cols, d=1.0 / cols)
-    return np.sqrt(wr[:, None] ** 2 + wc[None, :] ** 2)
 
 
 def spectral_envelope(h: float, rows: int, cols: int, kind: str = "amplitude") -> np.ndarray:
@@ -51,7 +40,7 @@ def spectral_envelope(h: float, rows: int, cols: int, kind: str = "amplitude") -
     expo = 2.0 * h + 1.0
     if kind == "power":
         expo /= 2.0
-    w = radial_frequency(rows, cols)
+    w = np.sqrt(radial_sq(rows, cols))
     gains = np.zeros((rows, cols))
     nz = w > 0
     gains[nz] = w[nz] ** (-expo)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -102,13 +103,18 @@ class TestSynth:
         assert not np.array_equal(read_cvf1(a), read_cvf1(b))
 
     def test_pgm_previews(self, capsys, tmp_path):
-        run_cli(
+        code, _, _ = run_cli(
             capsys,
-            "synth", "--h", "0.5", "--rows", "16", "--cols", "16",
+            "synth", "--h", "0.5", "--rows", "20", "--cols", "30",
             "--out", str(tmp_path / "f.cvf"), "--pgm", str(tmp_path / "f"),
         )
-        assert (tmp_path / "f.re.pgm").read_bytes().startswith(b"P5")
-        assert (tmp_path / "f.im.pgm").read_bytes().startswith(b"P5")
+        assert code == 0
+        re_img, im_img = (tmp_path / "f.re.pgm").read_bytes(), (tmp_path / "f.im.pgm").read_bytes()
+        header = b"P5\n30 20\n255\n"  # width before height
+        for img in (re_img, im_img):
+            assert img.startswith(header)
+            assert len(img) == len(header) + 20 * 30
+        assert re_img != im_img
 
     def test_bad_hurst_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -275,6 +281,40 @@ class TestSampleAndRecon:
         assert last_json(stdout)["iterations"] == 3
         assert read_cvf1(tmp_path / "r.cvf").shape == (72, 72)
 
+    @pytest.mark.parametrize(
+        "method_flags, named",
+        [
+            (["--method", "tp", "--window", "4", "--tol", "5", "--max-iters", "3"], "--window, --max-iters, --tol"),
+            (["--method", "cs-tv", "--tol", "5"], "--tol"),
+            (["--method", "boxcar", "--lambda", "0.1"], "--lambda"),
+        ],
+    )
+    def test_flag_of_another_method_rejected(self, capsys, tmp_path, field_file, method_flags, named):
+        path, _ = field_file
+        samples = tmp_path / "s.csv"
+        run_cli(capsys, "sample", "--field", str(path), "--n", "100", "--out", str(samples))
+        code, stdout, err = run_cli(
+            capsys,
+            "recon", "--samples", str(samples), "--rows", "16", "--cols", "16",
+            *method_flags, "--out", str(tmp_path / "r.cvf"),
+        )
+        assert code == 1 and stdout == ""
+        message = json.loads(err)["error"]
+        assert message.startswith(named + ":")
+        assert "--method " + method_flags[1].replace("boxcar", "box") in message
+        assert not (tmp_path / "r.cvf").exists()
+
+    def test_config_flags_name_config_fields(self):
+        # the foreign-flag rule knows a flag only through its config field, so a
+        # flag whose dest is no field of any config would be dropped unseen
+        args = build_parser().parse_args(
+            ["recon", "--samples", "s.csv", "--rows", "4", "--cols", "4", "--method", "box", "--out", "r.cvf"]
+        )
+        not_config = {"command", "func", "samples", "rows", "cols", "method", "out", "diagnostics", "allow_large"}
+        dests = set(vars(args)) - not_config
+        config_fields = {f.name for cls in harness.SECTIONS.values() for f in dataclasses.fields(cls)}
+        assert dests and dests <= config_fields, dests - config_fields
+
     def test_recon_flags_default_to_none(self):
         # the config dataclasses are the one place a recon default is written
         args = build_parser().parse_args(
@@ -368,6 +408,18 @@ class TestBench:
         assert results[0].startswith("method,h,n_sub,seed")
         assert len(results) == 5
         assert "rmse=" in stdout
+
+    def test_spec_missing_required_key_exits_1(self, capsys, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(
+            json.dumps({"grid": [12, 12], "hurst_values": [0.5], "repeats": 1, "sample_counts": [10]})
+        )
+        code, _, err = run_cli(
+            capsys, "bench", "table2", "--out-dir", str(tmp_path / "b"), "--spec", str(spec_path)
+        )
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert json.loads(err)["error"] == "missing spec keys: ['methods']"
 
     def test_bad_spec_exits_1(self, capsys, tmp_path):
         spec_path = tmp_path / "spec.json"

@@ -12,7 +12,7 @@ from cvfbm import (
     subsample,
     take_quadrant,
 )
-from cvfbm.grid import flat_positions
+from cvfbm.grid import flat_positions, radial_sq
 
 
 def mirror_extend(f):
@@ -78,6 +78,21 @@ class TestIdft2:
         real_field = rng.normal(size=(8, 8))
         spec = np.fft.fft2(real_field) / 8.0
         assert np.max(np.abs(idft2(spec).imag)) < 1e-12
+
+
+class TestRadialSq:
+    def test_signed_integer_frequencies(self):
+        # FFT layout: bin k is k up to N/2 and k - N above, on each axis
+        kr, kc = [0, 1, 2, -2, -1], [0, 1, -2, -1]
+        expected = np.array([[a * a + b * b for b in kc] for a in kr], dtype=float)
+        assert np.array_equal(radial_sq(5, 4), expected)
+
+    @pytest.mark.parametrize("shape", [(49, 98), (100, 100), (17, 33)])
+    def test_whole_numbers_that_truncate_to_themselves(self, shape):
+        # radial_bins groups by astype(int64); fftfreq's scale is not always
+        # exactly 1, so the truncation must still land on the rounded value
+        r2 = radial_sq(*shape)
+        assert np.array_equal(r2.astype(np.int64), np.rint(r2).astype(np.int64))
 
 
 class TestMirrorExtend:

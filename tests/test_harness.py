@@ -12,8 +12,6 @@ from cvfbm import (
     ThinPlateConfig,
     TwistConfig,
     derive_seed,
-    emit_figure_data,
-    idft2,
     mean_table,
     rmse,
     run_table1,
@@ -26,6 +24,7 @@ from cvfbm import (
     table2_spec,
     twist_reconstruct,
     write_mean_csv,
+    write_pgm,
     write_results_csv,
 )
 from cvfbm import harness as harness_module
@@ -34,7 +33,6 @@ from cvfbm.harness import (
     _audit_rows,
     _cell_truth,
     _repeat_masks,
-    radial_magnitude_profile,
 )
 
 
@@ -599,66 +597,16 @@ class TestResultsOutput:
 
 class TestFigureData:
     def test_field_images(self, tmp_path):
+        # the re/im preview pair of a complex field, as `cvfbm synth --pgm` writes it
         rng = np.random.default_rng(0)
         f = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        paths = emit_figure_data("field-images", tmp_path / "field", field=f)
-        assert [p.name for p in paths] == ["field.re.pgm", "field.im.pgm"]
-        for p in paths:
-            assert p.read_bytes().startswith(b"P5\n8 8\n255\n")
-
-    def test_spectrum_profile_single_mode(self):
-        spec = np.zeros((8, 8), dtype=complex)
-        spec[0, 1] = 1.0
-        radii, means = radial_magnitude_profile(idft2(spec))
-        assert radii[0] == 1.0
-        assert means[0] == pytest.approx(0.25)
-        assert radii[-1] <= 4.0
-
-    def test_spectrum_skips_dc(self):
-        field = np.full((8, 8), 5.0 + 0j)
-        radii, means = radial_magnitude_profile(field)
-        assert np.allclose(means, 0.0)
-
-    def test_spectrum_csv(self, tmp_path):
-        rng = np.random.default_rng(1)
-        f = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        (path,) = emit_figure_data("spectrum", tmp_path / "spec", field=f)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "omega,mean_magnitude"
-        assert len(lines) > 5
-
-    def test_trace_rows_and_order(self, tmp_path):
-        rng = np.random.default_rng(2)
-        shape = (15, 15)
-        truth = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        recon = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        (path,) = emit_figure_data(
-            "trace", tmp_path / "trace", traces={"recon": recon, "truth": truth}
-        )
-        lines = path.read_text().splitlines()
-        assert lines[0] == "index,truth_re,truth_im,recon_re,recon_im"
-        assert len(lines) == 1 + 100
-        assert lines[1].split(",")[0] == "101"
-        assert lines[-1].split(",")[0] == "200"
-        i, tre, tim, rre, rim = lines[1].split(",")
-        assert float(tre) == pytest.approx(truth.ravel()[101].real)
-        assert float(rim) == pytest.approx(recon.ravel()[101].imag)
-
-    def test_trace_needs_enough_cells(self, tmp_path):
-        small = np.zeros((10, 10), dtype=complex)
-        with pytest.raises(ValueError, match="grid cells"):
-            emit_figure_data("trace", tmp_path / "t", traces={"truth": small})
-
-    def test_trace_size_mismatch(self, tmp_path):
-        a = np.zeros((15, 15), dtype=complex)
-        b = np.zeros((20, 20), dtype=complex)
-        with pytest.raises(ValueError, match="size"):
-            emit_figure_data("trace", tmp_path / "t", traces={"a": a, "b": b})
-
-    def test_trace_needs_fields(self, tmp_path):
-        with pytest.raises(ValueError, match="named field"):
-            emit_figure_data("trace", tmp_path / "t", traces={})
-
-    def test_unknown_kind(self, tmp_path):
-        with pytest.raises(ValueError, match="kind"):
-            emit_figure_data("hologram", tmp_path / "x", field=np.zeros((8, 8)))
+        paths = [tmp_path / "field.re.pgm", tmp_path / "field.im.pgm"]
+        for path, part in zip(paths, (f.real, f.imag)):
+            write_pgm(path, part)
+        header = b"P5\n8 8\n255\n"
+        for path, part in zip(paths, (f.real, f.imag)):
+            img = path.read_bytes()
+            assert img.startswith(header)
+            pixels = np.frombuffer(img[len(header):], dtype=np.uint8).reshape(8, 8)
+            assert pixels.flat[np.argmin(part)] == 0 and pixels.flat[np.argmax(part)] == 255
+        assert paths[0].read_bytes() != paths[1].read_bytes()
