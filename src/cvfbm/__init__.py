@@ -1,138 +1,22 @@
 """Complex-valued fractional Brownian fields: synthesis, subsampling, and
 reconstruction by local averaging, thin-plate splines, and compressive
-sampling, with a benchmark harness for comparing the three."""
+sampling, with a benchmark harness for comparing the three.
 
-from .baselines import (
-    BoxcarConfig,
-    ThinPlateConfig,
-    boxcar_reconstruct,
-    default_smoothing_p,
-    thin_plate_coefficients,
-    thin_plate_reconstruct,
-)
-from .cs import (
-    AUTO_LAMBDA_FACTOR,
-    EqualitySolverConfig,
-    TwistConfig,
-    bp_reconstruct,
-    compressibility_diagnostics,
-    tv,
-    tv_denoise,
-    tv_equality_reconstruct,
-    twist_reconstruct,
-)
-from .fileio import (
-    read_cvf1,
-    read_samples_csv,
-    write_cvf1,
-    write_mask_csv,
-    write_pgm,
-    write_samples_csv,
-)
-from .grid import (
-    SampleSet,
-    as_field,
-    dft2,
-    idft2,
-    mirror_extend_samples,
-    take_quadrant,
-)
-from .harness import (
-    ExperimentSpec,
-    ResultRow,
-    SynthesisOptions,
-    derive_seed,
-    mean_table,
-    run_table1,
-    run_table2,
-    spec_from_json,
-    spec_to_json,
-    table1_spec,
-    table2_spec,
-    write_mean_csv,
-    write_results_csv,
-)
-from .metrics import EvalReport, evaluate, mse, radial_spectrum_slope, rmse, snr_db
-from .psf import (
-    MomentTensor,
-    RadialProfile,
-    brightness_moments,
-    ellipticity_from_moments,
-    psf_radius,
-    render_star,
-    shear_coords,
-)
-from .sampling import (
-    MeasurementOperator,
-    random_mask,
-    subsample,
-)
-from .synthesis import (
-    normalize_dynamic_range,
-    spectral_envelope,
-    synthesize_cvfbm,
-)
+Each module's ``__all__`` lists its public names; the package exports their
+union."""
+
+from . import baselines, cs, fileio, grid, harness, metrics, psf, sampling, synthesis
+from .baselines import *  # noqa: F403
+from .cs import *  # noqa: F403
+from .fileio import *  # noqa: F403
+from .grid import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .psf import *  # noqa: F403
+from .sampling import *  # noqa: F403
+from .synthesis import *  # noqa: F403
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AUTO_LAMBDA_FACTOR",
-    "BoxcarConfig",
-    "EqualitySolverConfig",
-    "EvalReport",
-    "ExperimentSpec",
-    "MeasurementOperator",
-    "MomentTensor",
-    "RadialProfile",
-    "ResultRow",
-    "SampleSet",
-    "SynthesisOptions",
-    "ThinPlateConfig",
-    "TwistConfig",
-    "as_field",
-    "boxcar_reconstruct",
-    "bp_reconstruct",
-    "brightness_moments",
-    "compressibility_diagnostics",
-    "default_smoothing_p",
-    "derive_seed",
-    "dft2",
-    "ellipticity_from_moments",
-    "evaluate",
-    "idft2",
-    "mean_table",
-    "mirror_extend_samples",
-    "mse",
-    "normalize_dynamic_range",
-    "psf_radius",
-    "radial_spectrum_slope",
-    "random_mask",
-    "read_cvf1",
-    "read_samples_csv",
-    "render_star",
-    "rmse",
-    "run_table1",
-    "run_table2",
-    "shear_coords",
-    "snr_db",
-    "spec_from_json",
-    "spec_to_json",
-    "spectral_envelope",
-    "subsample",
-    "synthesize_cvfbm",
-    "table1_spec",
-    "table2_spec",
-    "take_quadrant",
-    "thin_plate_coefficients",
-    "thin_plate_reconstruct",
-    "tv",
-    "tv_denoise",
-    "tv_equality_reconstruct",
-    "twist_reconstruct",
-    "write_cvf1",
-    "write_mask_csv",
-    "write_mean_csv",
-    "write_pgm",
-    "write_results_csv",
-    "write_samples_csv",
-]
+_MODULES = (baselines, cs, fileio, grid, harness, metrics, psf, sampling, synthesis)
+__all__ = sorted({name for module in _MODULES for name in module.__all__})

@@ -40,7 +40,7 @@ from .harness import (
     write_mean_csv,
     write_results_csv,
 )
-from .metrics import evaluate, radial_spectrum_slope
+from .metrics import MIN_SLOPE_GRID, evaluate, radial_spectrum_slope
 from .psf import (
     RadialProfile,
     brightness_moments,
@@ -73,6 +73,8 @@ def _cmd_synth(args) -> int:
     if args.pgm is not None:
         write_pgm(args.pgm.with_suffix(".re.pgm"), field.real)
         write_pgm(args.pgm.with_suffix(".im.pgm"), field.imag)
+    # null where the grid is too small for the slope fit
+    slope = radial_spectrum_slope(field) if min(field.shape) >= MIN_SLOPE_GRID else None
     _emit(
         {
             "out": str(args.out),
@@ -81,7 +83,7 @@ def _cmd_synth(args) -> int:
             "h": args.hurst,
             "seed": args.seed,
             "rms": float(np.sqrt(np.mean(np.abs(field) ** 2))),
-            "spectral_slope": radial_spectrum_slope(field),
+            "spectral_slope": slope,
         }
     )
     return 0

@@ -390,7 +390,8 @@ def twist_reconstruct(
     hit_tol = False
     # gamma(x, r) of the final iterate, when the loop has already taken it
     g_final = None
-    for it in range(cfg.max_iters):
+    # the first shrinkage step above spent one unit of the budget
+    for it in range(cfg.max_iters - 1):
         g = gamma(x, r)
         x_new = (1.0 - alpha) * x_old + (alpha - beta) * x + beta * g
         r_new = residual(x_new)
@@ -438,11 +439,12 @@ def compressibility_diagnostics(field) -> dict:
     """
     spec = dft2(field)
     mags = np.sort(np.abs(spec).ravel())[::-1]
-    total = np.linalg.norm(mags)
-    if total == 0:
-        raise ValueError("zero field has no decay to fit")
-    ranks = np.arange(1, len(mags) + 1, dtype=float)
     keep = mags > 0
+    if np.count_nonzero(keep) < 2:
+        # a zero or flat field: the fit would get fewer than two points
+        raise ValueError("spectrum has fewer than two nonzero coefficients: no decay to fit")
+    total = np.linalg.norm(mags)
+    ranks = np.arange(1, len(mags) + 1, dtype=float)
     coef = np.polyfit(np.log(ranks[keep]), np.log(mags[keep]), 1)
     q = -coef[0]
     c1 = float(np.exp(coef[1]))

@@ -11,14 +11,11 @@ import numpy as np
 from .grid import SampleSet, as_field
 
 __all__ = [
-    "field_to_bytes",
-    "field_from_bytes",
     "write_cvf1",
     "read_cvf1",
     "write_pgm",
     "write_samples_csv",
     "read_samples_csv",
-    "mask_to_bytes",
     "write_mask_csv",
 ]
 
@@ -79,7 +76,9 @@ def read_samples_csv(path, rows: int, cols: int) -> SampleSet:
     """Read a sample catalog; accepts e1,e2 or re,im value headers."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("sample CSV line 1: empty file, expected header row,col,e1,e2")
         names = [h.strip().lower() for h in header]
         if names[:2] != ["row", "col"] or len(names) != 4:
             raise ValueError(f"unexpected sample CSV header: {header}")
@@ -89,6 +88,9 @@ def read_samples_csv(path, rows: int, cols: int) -> SampleSet:
         for line in reader:
             if not line:
                 continue
+            if len(line) != 4:
+                n = reader.line_num
+                raise ValueError(f"sample CSV line {n}: expected 4 fields, got {len(line)}")
             pos.append((int(line[0]), int(line[1])))
             vals.append(complex(float(line[2]), float(line[3])))
     return SampleSet(rows, cols, pos, vals)

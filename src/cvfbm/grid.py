@@ -15,7 +15,6 @@ __all__ = [
     "dft2",
     "idft2",
     "take_quadrant",
-    "flat_positions",
     "SampleSet",
     "mirror_extend_samples",
 ]

@@ -51,8 +51,11 @@ __all__ = [
     "derive_seed",
     "run_table1",
     "run_table2",
+    "spec_from_json",
+    "spec_to_json",
     "mean_table",
     "write_results_csv",
+    "write_mean_csv",
 ]
 
 # method name -> (the ExperimentSpec field that holds its config, solve). A

@@ -11,6 +11,8 @@ from .grid import as_field, dft2, radial_sq
 __all__ = ["mse", "rmse", "snr_db", "EvalReport", "evaluate", "radial_spectrum_slope"]
 
 SNR_CAP_DB = 200.0
+# smallest grid side radial_spectrum_slope fits: its fit range ends at side/4
+MIN_SLOPE_GRID = 16
 
 
 def _pair(truth, est):
@@ -80,8 +82,8 @@ def radial_spectrum_slope(field) -> float:
     """
     f = as_field(field)
     rows, cols = f.shape
-    if rows < 16 or cols < 16:
-        raise ValueError("slope estimate needs at least a 16x16 grid")
+    if min(rows, cols) < MIN_SLOPE_GRID:
+        raise ValueError(f"slope estimate needs at least a {MIN_SLOPE_GRID}x{MIN_SLOPE_GRID} grid")
     uniq, means = radial_bins(np.abs(dft2(f)), min(rows, cols) / 4.0)
     if np.all(means == 0):
         raise ValueError("spectrum is identically zero over the fit range")

@@ -1,5 +1,7 @@
 """Boxcar averaging and thin-plate smoothing spline reconstructions."""
 
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -279,6 +281,19 @@ class TestThinPlateFastPaths:
         code = "import sys, cvfbm; print([m in sys.modules for m in ('scipy.spatial', 'scipy.linalg', 'scipy.special')])"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[False, False, False]"
+
+    def test_package_exports_the_module_lists(self):
+        names = ("baselines", "cs", "fileio", "grid", "harness", "metrics", "psf", "sampling", "synthesis")
+        modules = [importlib.import_module(f"cvfbm.{name}") for name in names]
+        assert len(cvfbm.__all__) == len(set(cvfbm.__all__))
+        assert set(cvfbm.__all__) == {n for m in modules for n in m.__all__}
+        for module in modules:
+            for name in module.__all__:
+                obj = getattr(cvfbm, name)
+                assert obj is getattr(module, name)
+                if inspect.isclass(obj) or inspect.isfunction(obj):
+                    # defined where it is listed, not re-exported from another module
+                    assert obj.__module__ == module.__name__, name
 
 
 def assert_same_bits(a, b):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,15 @@ class TestSynth:
             assert img.startswith(header)
             assert len(img) == len(header) + 20 * 30
         assert re_img != im_img
+
+    def test_grid_below_slope_minimum_reports_null_slope(self, capsys, tmp_path):
+        out = tmp_path / "small.cvf"
+        code, stdout, _ = run_cli(
+            capsys, "synth", "--h", "0.7", "--rows", "8", "--cols", "8", "--out", str(out)
+        )
+        assert code == 0
+        assert last_json(stdout)["spectral_slope"] is None
+        assert read_cvf1(out).shape == (8, 8)
 
     def test_bad_hurst_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -346,6 +356,28 @@ class TestSampleAndRecon:
         assert "NaN" in json.loads(err)["error"]
         assert not (tmp_path / "r.cvf").exists()
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("", "line 1: empty file"),
+            ("row,col,e1,e2\n0,0,1.0,0.5\n1,2,0.5\n", "line 3: expected 4 fields, got 3"),
+            ("row,col,e1,e2\n1,2,0.5,0.1,9\n", "line 2: expected 4 fields, got 5"),
+        ],
+        ids=["empty", "three-fields", "five-fields"],
+    )
+    def test_malformed_samples_csv_exits_1(self, capfd, tmp_path, text, named):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        code = main(
+            ["recon", "--samples", str(path), "--rows", "16", "--cols", "16",
+             "--method", "box", "--out", str(tmp_path / "r.cvf")]
+        )
+        out, err = capfd.readouterr()
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert named in json.loads(err)["error"]
+        assert not (tmp_path / "r.cvf").exists()
+
 
 class TestEval:
     def test_self_comparison(self, capsys, field_file):
@@ -515,3 +547,15 @@ class TestStarAndProfile:
         report = last_json(stdout)
         assert "q" in report
         assert "best_k_relative_error" in report
+
+    def test_profile_flat_field_exits_1(self, capfd, tmp_path):
+        # one nonzero spectral coefficient leaves no decay to fit
+        path = tmp_path / "flat.cvf"
+        write_cvf1(path, np.full((8, 8), 0.3 - 0.2j))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["profile", "--field", str(path)])
+        out, err = capfd.readouterr()
+        assert code == 1 and out == "" and caught == []
+        assert len(err.splitlines()) == 1
+        assert "no decay to fit" in json.loads(err)["error"]

@@ -110,7 +110,7 @@ def rolled_twist_reconstruct(samples, cfg, periodic=False):
         x = x_old
         objectives[1] = objectives[0]
     iterations = 1
-    for it in range(cfg.max_iters):
+    for it in range(cfg.max_iters - 1):
         g = gamma(x)
         x_new = (1.0 - alpha) * x_old + (alpha - beta) * x + beta * g
         f_new = objective(x_new)
@@ -466,6 +466,18 @@ class TestTwist:
         assert info["converged"]
         assert info["fixed_point_gap"] < 10 * cfg.tol
 
+    @pytest.mark.parametrize("max_iters", [1, 3])
+    def test_capped_solve_reports_the_cap(self, max_iters):
+        # the first shrinkage step counts as iteration 1 and spends one unit
+        # of the budget, so a solve stopped by the cap reports max_iters
+        f = synthesize_cvfbm(0.8, 32, 32, 27)
+        s = subsample(f, random_mask(32, 32, 300, seed=12))
+        cfg = TwistConfig(lam=0.1, tol=0.01, max_iters=max_iters)
+        _, info = twist_reconstruct(s, cfg)
+        assert info["iterations"] == cfg.max_iters
+        assert len(info["objective_trace"]) == info["iterations"] + 1
+        assert info["converged"] is False
+
     def test_auto_lambda_reported(self):
         f = synthesize_cvfbm(0.7, 16, 16, 16)
         s = subsample(f, random_mask(16, 16, 64, seed=9))
@@ -551,7 +563,7 @@ class TestTwistBitIdentical:
         trace = info["objective_trace"]
         last_change = abs(trace[-2] - trace[-1]) / trace[-2]
         # neither the cap nor the tolerance ended this solve: the guard did
-        assert info["iterations"] < cfg.max_iters + 1
+        assert info["iterations"] < cfg.max_iters
         assert last_change >= cfg.tol
         assert calls["tv_denoise"] == info["iterations"] + 1
         out_ref, info_ref = rolled_twist_reconstruct(s, cfg)
