@@ -78,6 +78,15 @@ def boxcar_reconstruct(samples: SampleSet, cfg: BoxcarConfig = BoxcarConfig()) -
     return out
 
 
+# Pairwise arrays over n samples are built a block of rows at a time, each
+# block holding about this many entries (a few MB of buffers at any n).
+_BLOCK_ENTRIES = 2**17
+
+
+def _block_rows(n: int) -> int:
+    return max(1, _BLOCK_ENTRIES // n)
+
+
 @dataclass(frozen=True)
 class ThinPlateConfig:
     # p = 1 interpolates; smaller p trades fit error for surface smoothness.
@@ -94,15 +103,25 @@ class ThinPlateConfig:
 
 def default_smoothing_p(positions: np.ndarray) -> float:
     """Heuristic p = 1/(1 + h^3/6), h = mean nearest-neighbor spacing."""
-    # imported here: scipy.spatial costs a noticeable share of `import cvfbm`
-    from scipy.spatial import cKDTree
-
     pts = np.asarray(positions, dtype=float)
-    if len(pts) < 2:
+    n = len(pts)
+    if n < 2:
         return 1.0
-    # k=2: the first hit is the point itself (positions are unique)
-    dist, _ = cKDTree(pts).query(pts, k=2)
-    h = float(np.mean(dist[:, 1]))
+    step = _block_rows(n)
+    d2 = np.empty((step, n))
+    dc2 = np.empty((step, n))
+    nearest = np.empty(n)
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        blk, tmp = d2[: b - a], dc2[: b - a]
+        np.subtract(pts[a:b, None, 0], pts[:, 0], out=blk)
+        blk *= blk
+        np.subtract(pts[a:b, None, 1], pts[:, 1], out=tmp)
+        tmp *= tmp
+        blk += tmp
+        blk[np.arange(b - a), np.arange(a, b)] = np.inf  # not its own neighbor
+        blk.min(axis=1, out=nearest[a:b])
+    h = float(np.mean(np.sqrt(nearest)))
     return 1.0 / (1.0 + h**3 / 6.0)
 
 
@@ -126,19 +145,27 @@ def _phi_matrix(samples: SampleSet, out: np.ndarray) -> np.ndarray:
 
     Looked up in the flattened table of phi over grid offsets, where offset
     (|dr|, |dc|) is entry |dr|*cols + |dc|; the squared offsets are exact
-    integers, so the lookup equals phi(d2) exactly.
+    integers, so the lookup equals phi(d2) exactly. The offsets are formed a
+    block of rows at a time, so no n x n temporary sits beside out.
     """
     rows, cols = samples.rows, samples.cols
-    fits32 = rows * cols <= np.iinfo(np.int32).max
-    row, col = samples.positions.astype(np.int32 if fits32 else np.int64).T
-    idx = row[:, None] - row
-    np.abs(idx, out=idx)
-    idx *= cols
-    dc = col[:, None] - col
-    np.abs(dc, out=dc)
-    idx += dc
-    del dc
-    return np.take(_phi_table(rows, cols).ravel(), idx, out=out, mode="clip")
+    row, col = samples.positions.astype(np.intp).T
+    table = _phi_table(rows, cols).ravel()
+    n = len(row)
+    step = _block_rows(n)
+    idx = np.empty((step, n), dtype=np.intp)
+    dc = np.empty((step, n), dtype=np.intp)
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        blk, tmp = idx[: b - a], dc[: b - a]
+        np.subtract(row[a:b, None], row, out=blk)
+        np.abs(blk, out=blk)
+        blk *= cols
+        np.subtract(col[a:b, None], col, out=tmp)
+        np.abs(tmp, out=tmp)
+        blk += tmp
+        np.take(table, blk, out=out[a:b], mode="clip")
+    return out
 
 
 # The mask-only part of the last fit, {key: (p, (lu, piv))}. The campaigns fit
@@ -194,6 +221,11 @@ def thin_plate_coefficients(samples: SampleSet, cfg: ThinPlateConfig = ThinPlate
     miss take the same lu_solve, so both give the same bits. One factor, of
     (n+3)^2 floats, stays cached per process until clear_system_memo() or
     the next fit on other positions.
+
+    That matrix is also the fit's working memory: it is filled a block of rows
+    at a time and LU-factored in place, so a fresh fit peaks at about one
+    (n+3)^2 float64 array. The fit imports scipy.linalg and no other scipy
+    module.
     """
     # imported here: scipy.linalg costs a noticeable share of `import cvfbm`
     from scipy.linalg import lu_solve

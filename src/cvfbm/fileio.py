@@ -91,8 +91,11 @@ def read_samples_csv(path, rows: int, cols: int) -> SampleSet:
             if len(line) != 4:
                 n = reader.line_num
                 raise ValueError(f"sample CSV line {n}: expected 4 fields, got {len(line)}")
-            pos.append((int(line[0]), int(line[1])))
-            vals.append(complex(float(line[2]), float(line[3])))
+            try:
+                pos.append((int(line[0]), int(line[1])))
+                vals.append(complex(float(line[2]), float(line[3])))
+            except ValueError as exc:
+                raise ValueError(f"sample CSV line {reader.line_num}: {exc}") from None
     return SampleSet(rows, cols, pos, vals)
 
 

@@ -5,6 +5,7 @@ import inspect
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -275,12 +276,56 @@ class TestThinPlateFastPaths:
         pos = np.stack([rr.ravel(), cc.ravel()], axis=1)
         assert default_smoothing_p(pos) == brute_force_smoothing_p(pos)
 
+    # With the shipped block size 2**17 entries, a block holds 100 rows at
+    # n = 1299..1301 and more than n rows at n = 300.
+    @pytest.mark.parametrize("n, rows_left", [(1299, 99), (1300, 0), (1301, 1), (300, 300)])
+    def test_blocked_builds_equal_full_matrix(self, n, rows_left):
+        assert n % baselines._block_rows(n) == rows_left
+        s = make_samples(100, 100, random_mask(100, 100, n, seed=n), np.ones(n))
+        d2 = ((s.positions[:, None, :] - s.positions[None, :, :]).astype(float) ** 2).sum(-1)
+        out = np.empty((n, n))
+        baselines._phi_matrix(s, out)
+        assert np.array_equal(out, baselines._phi(d2))
+        assert default_smoothing_p(s.positions) == brute_force_smoothing_p(s.positions)
+        # off-grid positions, where the squared distances are not integers
+        pts = np.random.default_rng(n).uniform(0.0, 60.0, size=(n, 2))
+        assert default_smoothing_p(pts) == brute_force_smoothing_p(pts)
+
+    def test_fit_peak_memory_is_about_one_system(self):
+        n = 2000
+        s = subsample(synthesize_cvfbm(0.8, 100, 100, 3), random_mask(100, 100, n, seed=4))
+        # a small fit first, so the scipy import is not counted
+        thin_plate_coefficients(subsample(synthesize_cvfbm(0.8, 16, 16, 1), random_mask(16, 16, 40, seed=1)))
+        baselines.clear_system_memo()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            thin_plate_coefficients(s)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 1.25 * 8 * (n + 3) ** 2
+
     def test_import_does_not_load_scipy_spatial(self):
         src = str(Path(cvfbm.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        code = "import sys, cvfbm; print([m in sys.modules for m in ('scipy.spatial', 'scipy.linalg', 'scipy.special')])"
+        names = "('scipy.spatial', 'scipy.linalg', 'scipy.special')"
+        code = f"import sys, cvfbm; print([m in sys.modules for m in {names}])"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[False, False, False]"
+        # a thin-plate fit needs scipy.linalg only
+        code = (
+            "import sys, cvfbm; "
+            "f = cvfbm.synthesize_cvfbm(0.8, 16, 16, 1); "
+            "cvfbm.thin_plate_reconstruct(cvfbm.subsample(f, cvfbm.random_mask(16, 16, 40, seed=1))); "
+            f"print([m in sys.modules for m in {names}])"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[False, True, False]"
 
     def test_package_exports_the_module_lists(self):
         names = ("baselines", "cs", "fileio", "grid", "harness", "metrics", "psf", "sampling", "synthesis")

@@ -362,8 +362,10 @@ class TestSampleAndRecon:
             ("", "line 1: empty file"),
             ("row,col,e1,e2\n0,0,1.0,0.5\n1,2,0.5\n", "line 3: expected 4 fields, got 3"),
             ("row,col,e1,e2\n1,2,0.5,0.1,9\n", "line 2: expected 4 fields, got 5"),
+            ("row,col,e1,e2\n0,0,1.0,0.5\n0,1,1.0,abc\n", "line 3: could not convert string to float: 'abc'"),
+            ("row,col,e1,e2\n1.5,2,0.5,0.1\n", "line 2: invalid literal for int() with base 10: '1.5'"),
         ],
-        ids=["empty", "three-fields", "five-fields"],
+        ids=["empty", "three-fields", "five-fields", "non-numeric-value", "float-row"],
     )
     def test_malformed_samples_csv_exits_1(self, capfd, tmp_path, text, named):
         path = tmp_path / "s.csv"
