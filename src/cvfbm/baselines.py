@@ -171,11 +171,29 @@ def _phi_matrix(samples: SampleSet, out: np.ndarray) -> np.ndarray:
 # The mask-only part of the last fit, {key: (p, (lu, piv))}. The campaigns fit
 # every hurst value on the same mask, so those fits share one factorization.
 _SYSTEM_MEMO: dict = {}
+# Flat float64 memory the system is built and factored in, so the memo's lu
+# is a view of it. It grows to the largest (n+3)^2 seen and never shrinks:
+# a fit on new positions rebuilds its system in the memory of the factor it
+# replaces instead of allocating (and later freeing) a fresh matrix.
+_SYSTEM_BUFFER = np.empty(0)
 
 
 def clear_system_memo() -> None:
-    """Drop the thin-plate factor kept by thin_plate_coefficients."""
+    """Drop the thin-plate factor kept by thin_plate_coefficients, and its memory."""
+    global _SYSTEM_BUFFER
     _SYSTEM_MEMO.clear()
+    _SYSTEM_BUFFER = np.empty(0)
+
+
+def _zeroed_system(size: int) -> np.ndarray:
+    """A zero-filled size x size C-ordered matrix in the shared system buffer."""
+    global _SYSTEM_BUFFER
+    if _SYSTEM_BUFFER.size < size * size:
+        _SYSTEM_BUFFER = np.empty(0)  # drop the old buffer before allocating
+        _SYSTEM_BUFFER = np.empty(size * size)
+    system = _SYSTEM_BUFFER[: size * size].reshape(size, size)
+    system.fill(0.0)
+    return system
 
 
 def _factor_system(samples: SampleSet, cfg: ThinPlateConfig):
@@ -190,7 +208,7 @@ def _factor_system(samples: SampleSet, cfg: ThinPlateConfig):
         raise ValueError("sample positions are collinear")
     p = cfg.p if cfg.p is not None else default_smoothing_p(pts)
     rho = (1.0 - p) / p
-    system = np.zeros((n + 3, n + 3))
+    system = _zeroed_system(n + 3)
     _phi_matrix(samples, system[:n, :n])
     np.fill_diagonal(system[:n, :n], rho + cfg.epsilon)
     system[:n, n:] = pblock
@@ -220,7 +238,9 @@ def thin_plate_coefficients(samples: SampleSet, cfg: ThinPlateConfig = ThinPlate
     fit on the same positions runs only the two-column solve. A hit and a
     miss take the same lu_solve, so both give the same bits. One factor, of
     (n+3)^2 floats, stays cached per process until clear_system_memo() or
-    the next fit on other positions.
+    the next fit on other positions, which rebuilds its system in the
+    factor's memory. That memory grows to the largest n seen;
+    clear_system_memo() frees it.
 
     That matrix is also the fit's working memory: it is filled a block of rows
     at a time and LU-factored in place, so a fresh fit peaks at about one

@@ -252,6 +252,10 @@ def tv_equality_reconstruct(
     product 1/9 respects the operator norm bound ||[grad; A]||^2 <= 9. A final
     exact projection lands the iterate on the constraint set, so the reported
     residual is at rounding level.
+
+    The loop runs in buffers allocated once per solve and applies A and A^H
+    without input checks. A NaN or Inf iterate is caught at each 25-iteration
+    check and before return, and raises ValueError.
     """
     if len(samples) == 0:
         raise ValueError("no samples")
@@ -265,23 +269,44 @@ def tv_equality_reconstruct(
     e_bar = e.copy()
     p = np.zeros((2,) + e.shape, dtype=np.complex128)
     q = np.zeros(len(y), dtype=np.complex128)
+    # buffers for the whole solve; each update below gives the same values as
+    #   p = p + sigma*grad(e_bar); p = p / max(1, |p|)
+    #   q = q + sigma*(A e_bar - y)
+    #   e_new = e - tau*(-div(p) + A^H q); e_bar = 2*e_new - e
+    # with the clip as a multiply by the real reciprocal (see tv_denoise).
+    # The loop applies A and A^H unchecked. A NaN or Inf anywhere reaches
+    # the iterate and stays there, so the checked forward(e) at each
+    # 25-iteration check, and after the loop, still raises on it.
+    e_new = np.empty_like(e)
+    g = np.empty_like(p)
+    mag = np.empty(e.shape)
+    sq = np.empty(e.shape)
+    d = np.empty_like(e)
+    work = np.empty_like(e)
     iterations = cfg.max_iters
     converged = False
     for it in range(cfg.max_iters):
-        g = _grad(e_bar)
-        p = p + sigma * g
-        mag = np.sqrt(np.abs(p[0]) ** 2 + np.abs(p[1]) ** 2)
-        # p / max(1, mag) as a multiply by the real reciprocal (see tv_denoise)
+        np.multiply(sigma, _grad(e_bar, out=g), out=g)
+        p += g
+        np.square(np.abs(p[0], out=mag), out=mag)
+        np.square(np.abs(p[1], out=sq), out=sq)
+        mag += sq
+        np.sqrt(mag, out=mag)
         np.maximum(1.0, mag, out=mag)
         np.divide(1.0, mag, out=mag)
         p *= mag
-        q = q + sigma * (op.forward(e_bar) - y)
-        e_new = e - tau * (-_div(p) + op.adjoint(q))
-        e_bar = 2.0 * e_new - e
-        step = np.linalg.norm(e_new - e)
-        e = e_new
+        r = op._forward(e_bar)
+        r -= y
+        q += np.multiply(sigma, r, out=r)
+        np.negative(_div(p, out=d, work=work), out=d)
+        d += op._adjoint(q)
+        np.subtract(e, np.multiply(tau, d, out=d), out=e_new)
+        np.multiply(2.0, e_new, out=e_bar)
+        e_bar -= e
+        e, e_new = e_new, e  # e_new now holds the previous iterate
         if it % 25 == 24:
             primal = np.linalg.norm(op.forward(e) - y) / y_norm
+            step = np.linalg.norm(np.subtract(e, e_new, out=d))
             if primal <= cfg.primal_tol and step <= cfg.dual_tol * max(np.linalg.norm(e), 1e-30):
                 iterations = it + 1
                 converged = True

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import SampleSet, as_field, dft2, flat_positions, idft2
+from .grid import SampleSet, as_field, flat_positions
+# perfbench/spans.py traces the unitary DFTs under this module's names too
+from .grid import dft2, idft2  # noqa: F401
 
 __all__ = [
     "random_mask",
@@ -54,6 +56,12 @@ class MeasurementOperator:
     mode="selection": forward picks masked grid values.
     mode="partial_fourier": forward is selection after the inverse DFT, so it
     measures spatial samples of a Fourier-domain unknown.
+
+    ``forward`` and ``adjoint`` check their input once and return fresh
+    arrays. ``_forward`` and ``_adjoint`` are the same maps without the
+    checks, for solvers that check their iterates themselves: they work in
+    buffers the operator owns and return one of them, which the next call
+    overwrites.
     """
 
     def __init__(self, rows: int, cols: int, mask, mode: str = "selection"):
@@ -65,22 +73,56 @@ class MeasurementOperator:
         self.rows = int(rows)
         self.cols = int(cols)
         self.mode = mode
+        shape = (self.rows, self.cols)
+        self._values = np.empty(len(self._flat), dtype=np.complex128)
+        # the adjoint's scatter image: only the mask entries are ever
+        # written, so it stays zero everywhere else
+        self._image = np.zeros(shape, dtype=np.complex128)
+        if mode == "partial_fourier":
+            # outputs of the axis-1 and the axis-0 transform
+            self._half = np.empty(shape, dtype=np.complex128)
+            self._full = np.empty(shape, dtype=np.complex128)
+            self._scale = np.sqrt(self.rows * self.cols)
+
+    def _transform(self, image: np.ndarray, inverse: bool) -> np.ndarray:
+        """Unscaled fft2 (or ifft2) of image, in the operator's own buffer.
+
+        These are the two per-axis calls numpy's fft2 makes, axis 1 and then
+        axis 0, so the result equals fft2(image) bit for bit.
+        """
+        fft = np.fft.ifft if inverse else np.fft.fft
+        fft(image, axis=1, out=self._half)
+        return fft(self._half, axis=0, out=self._full)
+
+    def _forward(self, x: np.ndarray) -> np.ndarray:
+        """forward of a C-ordered complex field of the right shape, unchecked."""
+        if self.mode == "partial_fourier":
+            x = self._transform(x, inverse=True)
+        # the positions are in bounds; mode='raise' would buffer the output
+        y = np.take(x.reshape(-1), self._flat, out=self._values, mode="clip")
+        if self.mode == "partial_fourier":
+            y *= self._scale  # idft2's scaling, taken only at the mask
+        return y
+
+    def _adjoint(self, y: np.ndarray) -> np.ndarray:
+        """adjoint of a complex vector with one value per mask entry, unchecked."""
+        self._image.reshape(-1)[self._flat] = y
+        if self.mode == "selection":
+            return self._image
+        spec = self._transform(self._image, inverse=False)
+        spec /= self._scale
+        return spec
 
     def forward(self, x) -> np.ndarray:
         x = as_field(x)
         if x.shape != (self.rows, self.cols):
             raise ValueError(f"expected shape {(self.rows, self.cols)}, got {x.shape}")
-        if self.mode == "partial_fourier":
-            x = idft2(x)
-        return x.ravel()[self._flat]
+        return self._forward(x).copy()
 
     def adjoint(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=np.complex128).reshape(-1)
         if len(y) != len(self._flat):
             raise ValueError("measurement vector length mismatch")
-        z = np.zeros(self.rows * self.cols, dtype=np.complex128)
-        z[self._flat] = y
-        z = z.reshape(self.rows, self.cols)
-        if self.mode == "partial_fourier":
-            z = dft2(z)
-        return z
+        if not np.isfinite(y).all():
+            raise ValueError("field contains NaN or Inf")
+        return self._adjoint(y).copy()

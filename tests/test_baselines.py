@@ -310,6 +310,28 @@ class TestThinPlateFastPaths:
                 tracemalloc.stop()
         assert peak <= 1.25 * 8 * (n + 3) ** 2
 
+    def test_refit_on_new_positions_reuses_system_memory(self):
+        # a fit on other positions of the same n rebuilds the system in the
+        # memory of the factor it replaces, so it allocates no new matrix
+        n = 2000
+        f = synthesize_cvfbm(0.8, 100, 100, 3)
+        baselines.clear_system_memo()
+        thin_plate_coefficients(subsample(f, random_mask(100, 100, n, seed=4)))
+        s = subsample(f, random_mask(100, 100, n, seed=5))
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            thin_plate_coefficients(s)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+            baselines.clear_system_memo()
+        assert peak <= 0.25 * 8 * (n + 3) ** 2
+
     def test_import_does_not_load_scipy_spatial(self):
         src = str(Path(cvfbm.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

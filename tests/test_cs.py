@@ -7,6 +7,7 @@ from cvfbm import (
     AUTO_LAMBDA_FACTOR,
     EqualitySolverConfig,
     MeasurementOperator,
+    SampleSet,
     TwistConfig,
     bp_reconstruct,
     compressibility_diagnostics,
@@ -89,10 +90,30 @@ def rolled_tv_denoise(f, weight, iters, return_gap=False):
     return u, float((primal - dual) / max(abs(primal), 1e-30))
 
 
+class PlainOperator:
+    """Reference A and A^H of the partial-Fourier model, without MeasurementOperator.
+
+    A is the unitary inverse DFT read at the sample positions; A^H is the
+    unitary DFT of a zero image with the values scattered in.
+    """
+
+    def __init__(self, samples):
+        self.shape = (samples.rows, samples.cols)
+        self.rows, self.cols = samples.positions.T
+
+    def forward(self, x):
+        return idft2(x)[self.rows, self.cols]
+
+    def adjoint(self, y):
+        z = np.zeros(self.shape, dtype=np.complex128)
+        z[self.rows, self.cols] = y
+        return dft2(z)
+
+
 def rolled_twist_reconstruct(samples, cfg, periodic=False):
     """Reference: the TwIST loop on the rolled TV code, recomputing y - A x at every use."""
     solved = samples if periodic else mirror_extend_samples(samples)
-    op = MeasurementOperator(solved.rows, solved.cols, solved.positions, mode="partial_fourier")
+    op = PlainOperator(solved)
     y = solved.values
     lam = cfg.lam if cfg.lam is not None else AUTO_LAMBDA_FACTOR * float(np.abs(op.adjoint(y)).max())
     alpha, beta = _twist_weights(cfg)
@@ -329,7 +350,7 @@ def test_non_contiguous_difference_buffer_refused():
 
 def rolled_tv_equality_reconstruct(samples, cfg):
     """Reference: the equality-TV loop on the rolled TV code, clipping by division."""
-    op = MeasurementOperator(samples.rows, samples.cols, samples.positions, mode="partial_fourier")
+    op = PlainOperator(samples)
     y = samples.values
     y_norm = max(np.linalg.norm(y), 1e-30)
     tau = cfg.penalty / 3.0
@@ -376,6 +397,37 @@ class TestTvEqualityBitIdentical:
         cfg = EqualitySolverConfig(max_iters=iters)
         out, info = tv_equality_reconstruct(s, cfg)
         out_ref, info_ref = rolled_tv_equality_reconstruct(s, cfg)
+        assert np.array_equal(out, out_ref)
+        assert info == info_ref
+
+    def test_non_square_grid_stopping_between_checks(self):
+        # 37 iterations end between two 25-iteration checks
+        f = synthesize_cvfbm(0.6, 24, 40, 12)
+        s = subsample(f, random_mask(24, 40, 300, seed=5))
+        cfg = EqualitySolverConfig(max_iters=37)
+        out, info = tv_equality_reconstruct(s, cfg)
+        out_ref, info_ref = rolled_tv_equality_reconstruct(s, cfg)
+        assert np.array_equal(out, out_ref)
+        assert info == info_ref
+
+    def test_converged_early_exit(self):
+        f = random_field(8, 8, seed=10)
+        s = subsample(f, random_mask(8, 8, 64, seed=3))
+        cfg = EqualitySolverConfig()  # full sampling converges at 350 of 600
+        out, info = tv_equality_reconstruct(s, cfg)
+        out_ref, info_ref = rolled_tv_equality_reconstruct(s, cfg)
+        assert info["converged"] is True
+        assert info["iterations"] < cfg.max_iters
+        assert np.array_equal(out, out_ref)
+        assert info == info_ref
+
+    def test_default_table1_cell(self):
+        # h = 0.8, subsampling factor 2, repeat 0
+        spec = table1_spec()
+        truth, _ = _cell_truth(spec, "paired", spec.hurst_values.index(0.8), 0)
+        samples = subsample(truth, _repeat_masks(spec, 0)[spec.subsampling_factors.index(2)])
+        out, info = tv_equality_reconstruct(samples, spec.equality)
+        out_ref, info_ref = rolled_tv_equality_reconstruct(samples, spec.equality)
         assert np.array_equal(out, out_ref)
         assert info == info_ref
 
@@ -434,6 +486,25 @@ class TestTvEquality:
             out, _ = tv_equality_reconstruct(s, cfg)
             errs.append(np.linalg.norm(out - f))
         assert errs[1] < errs[0]
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda s: tv_equality_reconstruct(s),
+        # stops before the first 25-iteration check
+        lambda s: tv_equality_reconstruct(s, EqualitySolverConfig(max_iters=10)),
+        lambda s: bp_reconstruct(s),
+        lambda s: twist_reconstruct(s, periodic=True),
+    ],
+    ids=["cs-tv", "cs-tv-10-iters", "cs-bp", "cs-twist-periodic"],
+)
+def test_overflowing_samples_raise(solve):
+    # finite samples whose spectrum overflows: the solve fails with a
+    # ValueError, not an Inf/NaN field
+    s = SampleSet(16, 16, random_mask(16, 16, 100, seed=21), np.full(100, 1e307 * (1 + 1j)))
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="field contains NaN or Inf"):
+        solve(s)
 
 
 class TestTwist:

@@ -4,6 +4,7 @@ import pytest
 from cvfbm import (
     MeasurementOperator,
     dft2,
+    idft2,
     random_mask,
     subsample,
 )
@@ -145,3 +146,51 @@ class TestMeasurementOperator:
         with pytest.raises(ValueError):
             op.adjoint(np.ones(4, dtype=complex))
 
+
+class TestMeasurementOperatorPlainFormulas:
+    """forward/adjoint against the formulas they implement, on a 12x20 grid."""
+
+    MODES = ["selection", "partial_fourier"]
+
+    def setup_method(self):
+        rng = np.random.default_rng(17)
+        self.mask = random_mask(12, 20, 70, seed=9)
+        self.x = rng.normal(size=(12, 20)) + 1j * rng.normal(size=(12, 20))
+        self.y = rng.normal(size=70) + 1j * rng.normal(size=70)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_forward_and_adjoint_equal_plain_formulas(self, mode):
+        op = MeasurementOperator(12, 20, self.mask, mode=mode)
+        rows, cols = self.mask.T
+        image = idft2(self.x) if mode == "partial_fourier" else self.x
+        assert np.array_equal(op.forward(self.x), image[rows, cols])
+        scattered = np.zeros((12, 20), dtype=complex)
+        scattered[rows, cols] = self.y
+        want = dft2(scattered) if mode == "partial_fourier" else scattered
+        assert np.array_equal(op.adjoint(self.y), want)
+        strided = np.repeat(self.y, 2)[::2]  # a view with a stride of two values
+        assert np.array_equal(op.adjoint(strided), want)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_results_are_not_shared(self, mode):
+        op = MeasurementOperator(12, 20, self.mask, mode=mode)
+        first = op.adjoint(self.y)
+        want = first.copy()
+        first[...] = 7.0
+        assert np.array_equal(op.adjoint(self.y), want)
+        got = op.forward(self.x)
+        want = got.copy()
+        got[...] = 7.0
+        assert np.array_equal(op.forward(self.x), want)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_non_finite_input_rejected(self, mode):
+        op = MeasurementOperator(12, 20, self.mask, mode=mode)
+        x = self.x.copy()
+        x[3, 5] = np.nan
+        with pytest.raises(ValueError, match="field contains NaN or Inf"):
+            op.forward(x)
+        y = self.y.copy()
+        y[4] = complex(0.0, np.inf)
+        with pytest.raises(ValueError, match="field contains NaN or Inf"):
+            op.adjoint(y)
