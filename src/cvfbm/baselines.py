@@ -31,12 +31,9 @@ class BoxcarConfig:
             raise ValueError(f"unknown range_adjust {self.range_adjust!r}")
 
 
-def _box_sums(img: np.ndarray, w: int) -> np.ndarray:
-    """Sum of img over the w x w window centered at each cell, border-clipped."""
-    r = (w - 1) // 2
-    padded = np.pad(img, ((r + 1, r), (r + 1, r)))
-    c = np.cumsum(np.cumsum(padded, axis=0), axis=1)
-    return c[w:, w:] - c[:-w, w:] - c[w:, :-w] + c[:-w, :-w]
+def _window_sums(t: np.ndarray, lo_r, hi_r, lo_c, hi_c) -> np.ndarray:
+    """Window sums from the corners of a summed-area table t (slices or indices)."""
+    return t[hi_r, hi_c] - t[lo_r, hi_c] - t[hi_r, lo_c] + t[lo_r, lo_c]
 
 
 def boxcar_reconstruct(samples: SampleSet, cfg: BoxcarConfig = BoxcarConfig()) -> np.ndarray:
@@ -47,28 +44,45 @@ def boxcar_reconstruct(samples: SampleSet, cfg: BoxcarConfig = BoxcarConfig()) -
     2 until it does. With range_adjust="affine" a complex least-squares map
     a*z + b is fitted from the raw predictions at the sample positions to the
     known values and applied to the whole field.
+
+    The counts and the values each get one summed-area table (Crow 1984),
+    padded once for the first window. A growth step reads only the cells still
+    empty, at corners clipped to the grid: the same floats a table padded for
+    the wider window holds. Padding stops at a half-width of max(rows, cols),
+    which spans the grid from every cell, so a wider window costs no more.
     """
     if len(samples) == 0:
         raise ValueError("boxcar needs at least one sample")
-    shape = (samples.rows, samples.cols)
-    count_img = np.zeros(shape)
-    value_img = np.zeros(shape, dtype=np.complex128)
+    rows, cols = samples.rows, samples.cols
     r, c = samples.positions[:, 0], samples.positions[:, 1]
-    count_img[r, c] = 1.0
-    value_img[r, c] = samples.values
+    h = min((cfg.window - 1) // 2, max(rows, cols))
+    w = 2 * h + 1
+    tables = []
+    for dtype, known in ((np.float64, 1.0), (np.complex128, samples.values)):
+        t = np.zeros((rows + w, cols + w), dtype=dtype)
+        t[r + h + 1, c + h + 1] = known
+        np.cumsum(t, axis=0, out=t)
+        np.cumsum(t, axis=1, out=t)
+        tables.append(t)
+    count_t, value_t = tables
 
-    w = cfg.window
-    counts = _box_sums(count_img, w)
-    totals = _box_sums(value_img, w)
+    lo, hi = slice(None, -w), slice(w, None)
+    counts = _window_sums(count_t, lo, hi, lo, hi)
+    totals = _window_sums(value_t, lo, hi, lo, hi)
     out = np.where(counts > 0.5, totals / np.maximum(counts, 1.0), 0.0 + 0.0j)
-    empty = counts < 0.5
-    while empty.any():
-        w += 2
-        counts = _box_sums(count_img, w)
-        totals = _box_sums(value_img, w)
-        fill = empty & (counts > 0.5)
-        out[fill] = (totals / np.maximum(counts, 1.0))[fill]
-        empty &= counts < 0.5
+    er, ec = np.nonzero(counts < 0.5)
+    # the tables' grid part, with one leading zero row and column
+    count_t = count_t[h : h + rows + 1, h : h + cols + 1]
+    value_t = value_t[h : h + rows + 1, h : h + cols + 1]
+    while len(er):
+        h += 1
+        lo_hi_r = np.maximum(er - h, 0), np.minimum(er + h + 1, rows)
+        lo_hi_c = np.maximum(ec - h, 0), np.minimum(ec + h + 1, cols)
+        counts = _window_sums(count_t, *lo_hi_r, *lo_hi_c)
+        totals = _window_sums(value_t, *lo_hi_r, *lo_hi_c)
+        fill = counts > 0.5
+        out[er[fill], ec[fill]] = (totals / np.maximum(counts, 1.0))[fill]
+        er, ec = er[~fill], ec[~fill]
 
     if cfg.range_adjust == "affine":
         pred = out[r, c]

@@ -115,6 +115,8 @@ def tv_denoise(field, weight: float, iters: int = 30, return_gap: bool = False):
     f = as_field(field)
     if weight <= 0:
         raise ValueError("weight must be positive")
+    if iters < 1:
+        raise ValueError("iters must be at least 1")
     tau = 0.125
     # tau is a power of two, so scaling by it is exact outside the subnormal
     # range: the loop below runs on v = tau*(div(p) - f/weight), whose

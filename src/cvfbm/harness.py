@@ -134,8 +134,8 @@ class ExperimentSpec:
             raise ValueError("sample_counts or subsampling_factors must be nonempty")
         if self.subsampling_factors is not None and min(self.subsampling_factors) < 1:
             raise ValueError("subsampling factors must be at least 1")
-        if self.target_rms is not None and self.target_rms <= 0:
-            raise ValueError("target_rms must be positive")
+        if self.target_rms is not None and not (np.isfinite(self.target_rms) and self.target_rms > 0):
+            raise ValueError("target_rms must be positive and finite")
 
     @property
     def counts(self) -> tuple[int, ...]:

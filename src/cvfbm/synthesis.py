@@ -89,8 +89,8 @@ def synthesize_cvfbm(
 def normalize_dynamic_range(field, target_rms: float) -> np.ndarray:
     """Rescale so the RMS of the complex magnitudes equals target_rms."""
     f = as_field(field)
-    if target_rms <= 0:
-        raise ValueError("target_rms must be positive")
+    if not (np.isfinite(target_rms) and target_rms > 0):
+        raise ValueError("target_rms must be positive and finite")
     rms = np.sqrt(np.mean(np.abs(f) ** 2))
     if rms == 0:
         raise ValueError("cannot normalize an identically zero field")

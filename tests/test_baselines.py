@@ -114,6 +114,110 @@ class TestBoxcar:
             boxcar_reconstruct(s, BoxcarConfig())
 
 
+def padded_box_reference(samples, cfg):
+    """Reference boxcar: a freshly padded summed-area table for every window size."""
+
+    def box_sums(img, w):
+        r = (w - 1) // 2
+        padded = np.pad(img, ((r + 1, r), (r + 1, r)))
+        c = np.cumsum(np.cumsum(padded, axis=0), axis=1)
+        return c[w:, w:] - c[:-w, w:] - c[w:, :-w] + c[:-w, :-w]
+
+    count_img = np.zeros((samples.rows, samples.cols))
+    value_img = np.zeros((samples.rows, samples.cols), dtype=np.complex128)
+    r, c = samples.positions[:, 0], samples.positions[:, 1]
+    count_img[r, c] = 1.0
+    value_img[r, c] = samples.values
+    w = cfg.window
+    counts = box_sums(count_img, w)
+    totals = box_sums(value_img, w)
+    out = np.where(counts > 0.5, totals / np.maximum(counts, 1.0), 0.0 + 0.0j)
+    empty = counts < 0.5
+    while empty.any():
+        w += 2
+        counts = box_sums(count_img, w)
+        totals = box_sums(value_img, w)
+        fill = empty & (counts > 0.5)
+        out[fill] = (totals / np.maximum(counts, 1.0))[fill]
+        empty &= counts < 0.5
+    if cfg.range_adjust == "affine":
+        pred = out[r, c]
+        design = np.stack([pred, np.ones_like(pred)], axis=1)
+        coef, *_ = np.linalg.lstsq(design, samples.values, rcond=None)
+        out = coef[0] * out + coef[1]
+    return out
+
+
+def chebyshev_window_mean(samples, window):
+    """Reference boxcar without range adjustment, one cell at a time."""
+    pos = samples.positions
+    out = np.empty((samples.rows, samples.cols), dtype=np.complex128)
+    for i in range(samples.rows):
+        for j in range(samples.cols):
+            d = np.maximum(np.abs(pos[:, 0] - i), np.abs(pos[:, 1] - j))
+            out[i, j] = samples.values[d <= max((window - 1) // 2, d.min())].mean()
+    return out
+
+
+def random_samples(rows, cols, n, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return make_samples(rows, cols, random_mask(rows, cols, n, seed=seed), values)
+
+
+class TestBoxcarSummedAreaTable:
+    @pytest.mark.parametrize("range_adjust", ["none", "affine"])
+    @pytest.mark.parametrize("window", [1, 3, 11, 21])
+    @pytest.mark.parametrize("rows, cols", [(1, 9), (5, 7), (37, 91), (128, 40)])
+    def test_bit_identical_to_padded_reference(self, rows, cols, window, range_adjust):
+        cfg = BoxcarConfig(window=window, range_adjust=range_adjust)
+        for n in sorted({max(1, rows * cols // 64), max(1, rows * cols // 8)}):
+            s = random_samples(rows, cols, n, seed=rows + n)
+            out = boxcar_reconstruct(s, cfg)
+            assert np.array_equal(out.view(float), padded_box_reference(s, cfg).view(float))
+
+    @pytest.mark.parametrize("range_adjust", ["none", "affine"])
+    def test_single_sample_regrowing_many_times(self, range_adjust):
+        # window 1 around one sample: the far corner is filled at half-width 87
+        s = make_samples(37, 91, [[30, 3]], [0.25 - 1.5j])
+        cfg = BoxcarConfig(window=1, range_adjust=range_adjust)
+        out = boxcar_reconstruct(s, cfg)
+        assert np.array_equal(out.view(float), padded_box_reference(s, cfg).view(float))
+
+    @pytest.mark.parametrize("window", [1, 3, 5, 31])
+    def test_matches_chebyshev_window_mean(self, window):
+        s = random_samples(9, 12, 6, seed=window)
+        out = boxcar_reconstruct(s, BoxcarConfig(window=window, range_adjust="none"))
+        assert np.allclose(out, chebyshev_window_mean(s, window), rtol=1e-12, atol=1e-12)
+
+    def test_window_wider_than_grid_costs_a_grid_wide_one(self):
+        s = random_samples(40, 40, 50, seed=8)
+
+        def traced_fit(window):
+            cfg = BoxcarConfig(window=window)
+            boxcar_reconstruct(s, cfg)  # not traced: one-time allocations
+            started = not tracemalloc.is_tracing()
+            if started:
+                tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                out = boxcar_reconstruct(s, cfg)
+                return out, tracemalloc.get_traced_memory()[1] - base
+            finally:
+                if started:
+                    tracemalloc.stop()
+
+        wide, wide_peak = traced_fit(1001)
+        grid_wide, grid_wide_peak = traced_fit(81)
+        assert np.array_equal(wide.view(float), grid_wide.view(float))
+        assert wide_peak <= grid_wide_peak + 4096
+        # the two tables padded for a grid-wide window hold 121^2 * (8 + 16)
+        # bytes, 13x the 41^2 complex prefix table; tables padded for window
+        # 1001 would hold 1041^2 * 24 bytes, about 970x
+        assert wide_peak < 20 * 41 * 41 * 16
+
+
 class TestThinPlate:
     def test_interpolates_at_p_one(self):
         f = random_field(10, 10, seed=8)

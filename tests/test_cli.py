@@ -93,6 +93,18 @@ class TestSynth:
         assert code == 0
         assert last_json(stdout)["rms"] == pytest.approx(0.05)
 
+    def test_nan_target_rms_exits_1(self, capsys, tmp_path):
+        out = tmp_path / "field.cvf"
+        code, stdout, err = run_cli(
+            capsys,
+            "synth", "--h", "0.7", "--rows", "16", "--cols", "16",
+            "--target-rms", "nan", "--out", str(out),
+        )
+        assert code == 1 and stdout == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "target_rms must be positive and finite"
+        assert not out.exists()
+
     def test_free_boundary_changes_field(self, capsys, tmp_path):
         a, b = tmp_path / "a.cvf", tmp_path / "b.cvf"
         run_cli(capsys, "synth", "--h", "0.5", "--rows", "16", "--cols", "16", "--out", str(a))

@@ -271,6 +271,11 @@ class TestTvDenoise:
         with pytest.raises(ValueError):
             tv_denoise(random_field(4, 4), 0.0)
 
+    @pytest.mark.parametrize("iters", [0, -3])
+    def test_iters_must_be_at_least_one(self, iters):
+        with pytest.raises(ValueError, match="iters must be at least 1"):
+            tv_denoise(random_field(4, 4), 1.0, iters=iters)
+
 
 class TestBasisPursuit:
     def test_full_sampling_reproduces_field(self):

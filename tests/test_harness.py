@@ -112,6 +112,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="target_rms"):
             tiny_spec(target_rms=0.0)
 
+    @pytest.mark.parametrize("target_rms", [float("nan"), float("inf"), -float("inf")])
+    def test_target_rms_finite(self, target_rms):
+        with pytest.raises(ValueError, match="target_rms must be positive and finite"):
+            tiny_spec(target_rms=target_rms)
+
     def test_counts_from_factors(self):
         spec = tiny_spec(grid=(10, 10), sample_counts=None, subsampling_factors=(2, 4))
         assert spec.counts == (50, 25)
@@ -198,6 +203,13 @@ class TestSpecJson:
             }
         )
         with pytest.raises(ValueError, match=key):
+            spec_from_json(text)
+
+    def test_nan_target_rms_rejected(self):
+        # json.loads reads the NaN token as float("nan")
+        text = json.dumps({**SMALL_SPEC, "target_rms": float("nan")})
+        assert "NaN" in text
+        with pytest.raises(ValueError, match="target_rms must be positive and finite"):
             spec_from_json(text)
 
     def test_empty_object_rejected(self):

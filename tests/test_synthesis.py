@@ -136,6 +136,11 @@ class TestNormalizeDynamicRange:
         scale = 0.05 / np.sqrt(np.mean(np.abs(a) ** 2))
         assert rmse(a * scale, b * scale) == pytest.approx(scale * rmse(a, b), rel=1e-12)
 
+    @pytest.mark.parametrize("target_rms", [float("nan"), float("inf"), -float("inf")])
+    def test_target_rms_finite(self, target_rms):
+        with pytest.raises(ValueError, match="target_rms must be positive and finite"):
+            normalize_dynamic_range(synthesize_cvfbm(0.5, 8, 8, 1), target_rms)
+
     def test_zero_field_rejected(self):
         with pytest.raises(ValueError):
             normalize_dynamic_range(np.zeros((4, 4), dtype=complex), 0.05)
