@@ -111,8 +111,8 @@ class ThinPlateConfig:
     def __post_init__(self):
         if self.p is not None and not 0.0 < self.p <= 1.0:
             raise ValueError("p must lie in (0, 1]")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError("epsilon must be non-negative and finite")
 
 
 def default_smoothing_p(positions: np.ndarray) -> float:

@@ -113,8 +113,8 @@ def tv_denoise(field, weight: float, iters: int = 30, return_gap: bool = False):
     gap estimate at the last iterate is returned alongside the field.
     """
     f = as_field(field)
-    if weight <= 0:
-        raise ValueError("weight must be positive")
+    if not (np.isfinite(weight) and weight > 0):
+        raise ValueError("weight must be positive and finite")
     if iters < 1:
         raise ValueError("iters must be at least 1")
     tau = 0.125
@@ -171,10 +171,10 @@ class EqualitySolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.primal_tol <= 0 or self.dual_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.penalty <= 0:
-            raise ValueError("penalty must be positive")
+        positive = {"primal_tol": self.primal_tol, "dual_tol": self.dual_tol, "penalty": self.penalty}
+        for name, value in positive.items():
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
 
 
 def _soft(x: np.ndarray, t: float) -> np.ndarray:
@@ -337,8 +337,8 @@ class TwistConfig:
     tv_inner_iters: int = 10
 
     def __post_init__(self):
-        if self.lam is not None and self.lam <= 0:
-            raise ValueError("lambda must be positive")
+        if self.lam is not None and not (np.isfinite(self.lam) and self.lam > 0):
+            raise ValueError("lambda must be positive and finite")
         if not 0.0 < self.tol < 1.0:
             raise ValueError("tol must lie in (0, 1)")
         if self.max_iters < 1:
@@ -346,8 +346,11 @@ class TwistConfig:
         if self.tv_inner_iters < 1:
             raise ValueError("tv_inner_iters must be at least 1")
         for name, value in (("alpha", self.alpha), ("beta", self.beta)):
-            if isinstance(value, str) and value != "auto":
-                raise ValueError(f"{name} must be a number or 'auto', got {value!r}")
+            if isinstance(value, str):
+                if value != "auto":
+                    raise ValueError(f"{name} must be a number or 'auto', got {value!r}")
+            elif not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _twist_weights(cfg: TwistConfig) -> tuple[float, float]:

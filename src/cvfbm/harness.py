@@ -15,6 +15,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 from types import UnionType
@@ -356,48 +357,68 @@ def _cell_star(args):
     return _run_cell(*args)
 
 
-def _run_campaign(spec: ExperimentSpec, policy: str, out_dir=None, jobs: int = 1):
-    # a truth depends on (h, repeat) and a mask on (count, repeat), so each is
-    # built once here and shared by its cells, serial or under --jobs. Cells
-    # run repeat-major, then by count, then by h: the cells of one mask stay
-    # back to back and thin-plate reuses its factorization across them
-    hs, counts, repeats = range(len(spec.hurst_values)), range(len(spec.counts)), range(spec.repeats)
-    truths = {(h_idx, rep): _cell_truth(spec, policy, h_idx, rep) for rep in repeats for h_idx in hs}
-    masks = {(nsub_idx, rep): m for rep in repeats for nsub_idx, m in enumerate(_repeat_masks(spec, rep))}
-    items = [(h_idx, nsub_idx, rep) for rep in repeats for nsub_idx in counts for h_idx in hs]
-    args = [(spec, h, n, *truths[h, rep], masks[n, rep]) for h, n, rep in items]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(_cell_star, args, chunksize=1))
+def _run_repeat(spec: ExperimentSpec, policy: str, rep: int, pool, store) -> tuple[list, list]:
+    """Run one repeat's cells: (result rows, manifest entries).
+
+    The repeat's truths (one per h) and masks (one per count) are built once
+    and shared by its cells, which run by count, then by h: the cells of one
+    mask stay back to back and thin-plate reuses its factorization across
+    them. With a store, every truth, mask and reconstruction is stored before
+    return, so none of the repeat's fields outlives this call.
+    """
+    hs = range(len(spec.hurst_values))
+    truths = [_cell_truth(spec, policy, h_idx, rep) for h_idx in hs]
+    masks = _repeat_masks(spec, rep)
+    items = [(h_idx, nsub_idx) for nsub_idx in range(len(masks)) for h_idx in hs]
+    args = [(spec, h_idx, nsub_idx, *truths[h_idx], masks[nsub_idx]) for h_idx, nsub_idx in items]
+    if pool is not None:
+        cells = list(pool.map(_cell_star, args, chunksize=1))
     else:
+        cells = [_run_cell(*a) for a in args]
+    rows = [row for cell in cells for _, _, row in cell]
+    if store is None:
+        return rows, []
+    # each distinct truth and mask is encoded, hashed and stored once
+    truth_names = [store.put_field(truth) for truth, _ in truths]
+    mask_names = [store.put_mask(mask) for mask in masks]
+    manifest = [
+        {
+            "method": method,
+            "h": row.h,
+            "n_sub": row.n_sub,
+            "repeat": rep,
+            "seed": row.seed,
+            "truth": truth_names[h_idx],
+            "mask": mask_names[nsub_idx],
+            "recon": store.put_field(recon),
+            "rmse": row.rmse,
+        }
+        for (h_idx, nsub_idx), cell in zip(items, cells)
+        for method, recon, row in cell
+    ]
+    return rows, manifest
+
+
+def _run_campaign(spec: ExperimentSpec, policy: str, out_dir=None, jobs: int = 1):
+    # the campaign runs one repeat at a time and keeps only result rows and
+    # manifest entries across repeats, so its peak holds one repeat's fields
+    # whatever the number of repeats. Under --jobs one pool serves every
+    # repeat. manifest.json is written, and audited, only once every repeat
+    # has run; the blobs of the repeats before a failure stay in the store
+    store = _ArtifactStore(out_dir) if out_dir is not None else None
+    rows, manifest = [], []
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         try:
-            cells = [_run_cell(*a) for a in args]
+            for rep in range(spec.repeats):
+                rep_rows, entries = _run_repeat(spec, policy, rep, pool, store)
+                rows += rep_rows
+                manifest += entries
         finally:
             clear_system_memo()  # the campaign's last factor is of no use after it
 
-    rows = [row for cell in cells for _, _, row in cell]
     order = {m: i for i, m in enumerate(METHODS)}
     rows.sort(key=lambda r: (order[r.method], r.h, r.n_sub, r.seed))
-    if out_dir is not None:
-        store = _ArtifactStore(out_dir)
-        # each distinct truth and mask is encoded, hashed and stored once
-        truth_names = {key: store.put_field(truth) for key, (truth, _) in truths.items()}
-        mask_names = {key: store.put_mask(mask) for key, mask in masks.items()}
-        manifest = [
-            {
-                "method": method,
-                "h": row.h,
-                "n_sub": row.n_sub,
-                "repeat": rep,
-                "seed": row.seed,
-                "truth": truth_names[h_idx, rep],
-                "mask": mask_names[nsub_idx, rep],
-                "recon": store.put_field(recon),
-                "rmse": row.rmse,
-            }
-            for (h_idx, nsub_idx, rep), cell in zip(items, cells)
-            for method, recon, row in cell
-        ]
+    if store is not None:
         manifest.sort(key=lambda e: (order[e["method"]], e["h"], e["n_sub"], e["repeat"]))
         store.write_manifest(manifest)
         _audit_rows(spec, manifest, store)

@@ -295,6 +295,12 @@ class TestThinPlate:
         with pytest.raises(ValueError):
             thin_plate_reconstruct(s, ThinPlateConfig(p=1.0))
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        # NaN would give a non-finite field and inf a "singular" system
+        with pytest.raises(ValueError, match="epsilon must be non-negative and finite"):
+            ThinPlateConfig(epsilon=epsilon)
+
     def test_p_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             ThinPlateConfig(p=0.0)

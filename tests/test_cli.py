@@ -1,10 +1,15 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cvfbm
 from cvfbm import harness, read_cvf1, read_samples_csv, write_cvf1
 from cvfbm.cli import build_parser, main
 
@@ -510,6 +515,31 @@ class TestBench:
         assert code == 1
         assert len(err.strip().splitlines()) == 1
         assert named in json.loads(err)["error"]
+
+    def test_nan_epsilon_spec_exits_1(self, capsys, tmp_path):
+        spec = {"grid": [12, 12], "hurst_values": [0.5], "sample_counts": [30], "methods": ["tp"], "repeats": 1}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**spec, "thin_plate": {"epsilon": float("nan")}}))
+        out_dir = tmp_path / "b"
+        code, _, err = run_cli(capsys, "bench", "table2", "--out-dir", str(out_dir), "--spec", str(spec_path))
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert json.loads(err)["error"] == "epsilon must be non-negative and finite"
+        assert not out_dir.exists()
+
+    def test_runs_as_python_module(self, tmp_path):
+        # `python -m cvfbm` is the same command line as the cvfbm script
+        spec = {"grid": [12, 12], "hurst_values": [0.5], "sample_counts": [30], "methods": ["box"], "repeats": 2}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out_dir = tmp_path / "b"
+        src = str(Path(cvfbm.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["bench", "table2", "--spec", str(spec_path), "--out-dir", str(out_dir)]
+        proc = subprocess.run([sys.executable, "-m", "cvfbm", *argv], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert last_json(proc.stdout) == {"out_dir": str(out_dir), "rows": 2}
+        assert (out_dir / "manifest.json").exists()
 
     @pytest.mark.parametrize(
         "counts, named",

@@ -271,10 +271,31 @@ class TestTvDenoise:
         with pytest.raises(ValueError):
             tv_denoise(random_field(4, 4), 0.0)
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_weight_must_be_finite(self, weight):
+        with pytest.raises(ValueError, match="weight must be positive and finite"):
+            tv_denoise(random_field(4, 4), weight)
+
     @pytest.mark.parametrize("iters", [0, -3])
     def test_iters_must_be_at_least_one(self, iters):
         with pytest.raises(ValueError, match="iters must be at least 1"):
             tv_denoise(random_field(4, 4), 1.0, iters=iters)
+
+
+class TestSolverConfigsRejectNonFinite:
+    # a non-finite weight or tolerance would otherwise surface mid-solve, as
+    # a NaN field or a run to the iteration cap
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field, named", [("lam", "lambda"), ("alpha", "alpha"), ("beta", "beta")])
+    def test_twist(self, field, named, value):
+        with pytest.raises(ValueError, match=f"{named} must be"):
+            TwistConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["primal_tol", "dual_tol", "penalty"])
+    def test_equality(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            EqualitySolverConfig(**{field: value})
 
 
 class TestBasisPursuit:

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -210,6 +212,12 @@ class TestSpecJson:
         text = json.dumps({**SMALL_SPEC, "target_rms": float("nan")})
         assert "NaN" in text
         with pytest.raises(ValueError, match="target_rms must be positive and finite"):
+            spec_from_json(text)
+
+    def test_nan_epsilon_rejected(self):
+        text = json.dumps({**SMALL_SPEC, "thin_plate": {"epsilon": float("nan")}})
+        assert "NaN" in text
+        with pytest.raises(ValueError, match="epsilon must be non-negative and finite"):
             spec_from_json(text)
 
     def test_empty_object_rejected(self):
@@ -548,6 +556,86 @@ class TestPersistence:
         run_table2(spec, out_dir=tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         _audit_rows(spec, manifest, _ArtifactStore(tmp_path))
+
+
+def tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestRepeatAtATime:
+    # a campaign builds, runs, stores and drops one repeat at a time
+
+    @pytest.mark.parametrize("stored", [False, True], ids=["memory", "out_dir"])
+    def test_peak_memory_does_not_grow_with_repeats(self, tmp_path, stored):
+        def peak(repeats, name):
+            spec = table2_spec(
+                grid=(48, 48),
+                hurst_values=(0.5, 0.7, 0.9),
+                sample_counts=(100, 200, 400),
+                methods=("box",),
+                repeats=repeats,
+            )
+            out_dir = tmp_path / name if stored else None
+            started = not tracemalloc.is_tracing()
+            if started:
+                tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                run_table2(spec, out_dir=out_dir)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                if started:
+                    tracemalloc.stop()
+
+        peak(1, "warm")
+        # all fields at once would be 3.4x the 2-repeat peak at 8 repeats
+        assert peak(8, "eight") <= 1.25 * peak(2, "two")
+
+    def test_failed_campaign_keeps_only_finished_repeats(self, tmp_path, monkeypatch):
+        spec = tiny_spec(hurst_values=(0.5, 0.8), sample_counts=(30, 60), methods=("box",), repeats=3)
+        box = harness_module.boxcar_reconstruct
+        calls = []
+
+        def fails_in_second_repeat(samples, cfg):
+            calls.append(1)
+            if len(calls) > 2 * 2:  # hurst values x counts: one repeat's solves
+                raise RuntimeError("box failed")
+            return box(samples, cfg)
+
+        monkeypatch.setattr(harness_module, "boxcar_reconstruct", fails_in_second_repeat)
+        out = tmp_path / "rerun"
+        with pytest.raises(RuntimeError, match="box failed"):
+            run_table2(spec, out_dir=out)
+        assert not (out / "manifest.json").exists()
+        assert not (out / "results.csv").exists()
+        kept = {p.name for p in (out / "store").glob("*")}
+        monkeypatch.setattr(harness_module, "boxcar_reconstruct", box)
+
+        run_table2(spec, out_dir=out)
+        run_table2(spec, out_dir=tmp_path / "fresh")
+        assert tree(out) == tree(tmp_path / "fresh")
+        # the first repeat was stored as it ended: 2 truths, 2 masks, 4 recons
+        manifest = json.loads((out / "manifest.json").read_text())
+        first = {e[k] for e in manifest if e["repeat"] == 0 for k in ("truth", "mask", "recon")}
+        assert len(first) == 8
+        assert kept == first
+
+    def test_one_pool_per_campaign(self, tmp_path, monkeypatch):
+        pools = []
+
+        class CountedPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness_module, "ProcessPoolExecutor", CountedPool)
+        spec = tiny_spec(repeats=3)
+        run_table2(spec, out_dir=tmp_path / "parallel", jobs=2)
+        assert len(pools) == 1
+        run_table2(spec, out_dir=tmp_path / "serial")
+        assert len(pools) == 1
+        assert tree(tmp_path / "parallel") == tree(tmp_path / "serial")
 
 
 def hand_rows():
