@@ -357,29 +357,37 @@ def _cell_star(args):
     return _run_cell(*args)
 
 
-def _run_repeat(spec: ExperimentSpec, policy: str, rep: int, pool, store) -> tuple[list, list]:
+def _run_repeat(
+    spec: ExperimentSpec, policy: str, rep: int, pool, store, truths: np.ndarray, recons: np.ndarray
+) -> tuple[list, list]:
     """Run one repeat's cells: (result rows, manifest entries).
 
     The repeat's truths (one per h) and masks (one per count) are built once
     and shared by its cells, which run by count, then by h: the cells of one
     mask stay back to back and thin-plate reuses its factorization across
-    them. With a store, every truth, mask and reconstruction is stored before
-    return, so none of the repeat's fields outlives this call.
+    them. Truths and reconstructions are copied into the campaign's
+    ``truths`` and ``recons`` buffers, which every repeat overwrites. With a
+    store, every truth, mask and reconstruction is stored before return.
     """
     hs = range(len(spec.hurst_values))
-    truths = [_cell_truth(spec, policy, h_idx, rep) for h_idx in hs]
+    seeds = []
+    for h_idx in hs:
+        truths[h_idx], seed = _cell_truth(spec, policy, h_idx, rep)
+        seeds.append(seed)
     masks = _repeat_masks(spec, rep)
     items = [(h_idx, nsub_idx) for nsub_idx in range(len(masks)) for h_idx in hs]
-    args = [(spec, h_idx, nsub_idx, *truths[h_idx], masks[nsub_idx]) for h_idx, nsub_idx in items]
-    if pool is not None:
-        cells = list(pool.map(_cell_star, args, chunksize=1))
-    else:
-        cells = [_run_cell(*a) for a in args]
-    rows = [row for cell in cells for _, _, row in cell]
+    args = [(spec, h_idx, nsub_idx, truths[h_idx], seeds[h_idx], masks[nsub_idx]) for h_idx, nsub_idx in items]
+    cells = pool.map(_cell_star, args, chunksize=1) if pool is not None else map(_cell_star, args)
+    rows, made = [], []
+    for (h_idx, nsub_idx), cell in zip(items, cells):
+        for method, recon, row in cell:
+            recons[len(rows)] = recon
+            rows.append(row)
+            made.append((h_idx, nsub_idx, method))
     if store is None:
         return rows, []
     # each distinct truth and mask is encoded, hashed and stored once
-    truth_names = [store.put_field(truth) for truth, _ in truths]
+    truth_names = [store.put_field(truth) for truth in truths]
     mask_names = [store.put_mask(mask) for mask in masks]
     manifest = [
         {
@@ -393,8 +401,7 @@ def _run_repeat(spec: ExperimentSpec, policy: str, rep: int, pool, store) -> tup
             "recon": store.put_field(recon),
             "rmse": row.rmse,
         }
-        for (h_idx, nsub_idx), cell in zip(items, cells)
-        for method, recon, row in cell
+        for (h_idx, nsub_idx, method), row, recon in zip(made, rows, recons)
     ]
     return rows, manifest
 
@@ -404,13 +411,19 @@ def _run_campaign(spec: ExperimentSpec, policy: str, out_dir=None, jobs: int = 1
     # manifest entries across repeats, so its peak holds one repeat's fields
     # whatever the number of repeats. Under --jobs one pool serves every
     # repeat. manifest.json is written, and audited, only once every repeat
-    # has run; the blobs of the repeats before a failure stay in the store
+    # has run; the blobs of the repeats before a failure stay in the store.
+    # Each repeat's fields go into the same two buffers: fields freed at every
+    # repeat's end would be trimmed from the heap and faulted back in by the
+    # next, at a cost that shifts with the heap's layout from run to run
     store = _ArtifactStore(out_dir) if out_dir is not None else None
     rows, manifest = [], []
+    nh = len(spec.hurst_values)
+    truths = np.empty((nh, *spec.grid), dtype=np.complex128)
+    recons = np.empty((nh * len(spec.counts) * len(spec.methods), *spec.grid), dtype=np.complex128)
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         try:
             for rep in range(spec.repeats):
-                rep_rows, entries = _run_repeat(spec, policy, rep, pool, store)
+                rep_rows, entries = _run_repeat(spec, policy, rep, pool, store, truths, recons)
                 rows += rep_rows
                 manifest += entries
         finally:
