@@ -128,7 +128,7 @@ def _cmd_recon(args) -> int:
         raise ValueError(f"{flags}: no such setting for --method {args.method}")
     cfg = cls(**given)
     # a samples CSV says nothing about the field's boundary, so solve as free
-    field, info = solve(samples, cfg, periodic=False, allow_large=args.allow_large)
+    field, info = solve(samples, cfg, periodic=False)
     write_cvf1(args.out, field)
     if args.diagnostics is not None:
         diag = {"method": args.method, "n_sub": samples.positions.shape[0], **info}
@@ -152,8 +152,8 @@ def _cmd_bench(args) -> int:
         spec = table1_spec()
     else:
         spec = table2_spec()
+    # the campaign's artifact store creates out_dir
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     runner = run_table1 if args.campaign == "table1" else run_table2
     rows = runner(spec, out_dir=out_dir, jobs=args.jobs)
     write_results_csv(out_dir / "results.csv", rows, include_timings=args.timings)
@@ -247,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=None, help="TV weight")
     p.add_argument("--max-iters", type=int, default=None, help="iteration cap (default: the method's own)")
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--allow-large", action="store_true", help="lift the basis-pursuit size guard")
     p.set_defaults(func=_cmd_recon)
 
     p = sub.add_parser("eval", help="score a reconstruction against the truth field")

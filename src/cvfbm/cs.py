@@ -93,6 +93,14 @@ def _div(p: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None =
     return np.add(out, work, out=out)
 
 
+def _magnitude(g: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Isotropic magnitude sqrt(|g[0]|^2 + |g[1]|^2) into ``out``; ``work`` is scratch."""
+    np.square(np.abs(g[0], out=out), out=out)
+    np.square(np.abs(g[1], out=work), out=work)
+    out += work
+    return np.sqrt(out, out=out)
+
+
 def tv(field) -> float:
     """Isotropic total variation with periodic boundary.
 
@@ -101,7 +109,7 @@ def tv(field) -> float:
     coupled.
     """
     g = _grad(as_field(field))
-    return float(np.sum(np.sqrt(np.abs(g[0]) ** 2 + np.abs(g[1]) ** 2)))
+    return float(np.sum(_magnitude(g, np.empty(g.shape[1:]), np.empty(g.shape[1:]))))
 
 
 def tv_denoise(field, weight: float, iters: int = 30, return_gap: bool = False):
@@ -141,11 +149,7 @@ def tv_denoise(field, weight: float, iters: int = 30, return_gap: bool = False):
         _div(p, out=v, work=work)
         v *= tau
         v -= scaled
-        _grad(v, out=g)
-        np.square(np.abs(g[0], out=mag), out=mag)
-        np.square(np.abs(g[1], out=sq), out=sq)
-        mag += sq
-        np.sqrt(mag, out=mag)
+        _magnitude(_grad(v, out=g), mag, sq)
         p += g
         mag += 1.0
         np.divide(1.0, mag, out=mag)
@@ -185,40 +189,51 @@ def _soft(x: np.ndarray, t: float) -> np.ndarray:
 
 
 def _operator_for(samples: SampleSet) -> MeasurementOperator:
+    if len(samples) == 0:
+        raise ValueError("no samples")
     return MeasurementOperator(samples.rows, samples.cols, samples.positions, mode="partial_fourier")
 
 
-def bp_reconstruct(
-    samples: SampleSet,
-    cfg: EqualitySolverConfig = EqualitySolverConfig(),
-    allow_large: bool = False,
+def _project(op: MeasurementOperator, y: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The exact projection of ``e`` onto {E : A E = y}, since A A^H = I."""
+    return e - op.adjoint(op.forward(e) - y)
+
+
+def _finish_equality(
+    op: MeasurementOperator, y: np.ndarray, e: np.ndarray, iterations: int, converged: bool, objective
 ):
+    """Project an equality solver's last iterate onto the samples: (idft2(E), info).
+
+    ``objective`` maps the projected E to the value the solver minimizes.
+    """
+    e = _project(op, y, e)
+    residual = np.linalg.norm(op.forward(e) - y) / max(np.linalg.norm(y), 1e-30)
+    info = {
+        "iterations": iterations,
+        # True only when the tolerance test ended the loop, not at max_iters
+        "converged": converged,
+        "objective": objective(e),
+        "constraint_residual": float(residual),
+    }
+    return idft2(e), info
+
+
+def bp_reconstruct(samples: SampleSet, cfg: EqualitySolverConfig = EqualitySolverConfig()):
     """Basis pursuit: min sum|E_k| subject to the samples, returns idft2(E).
 
     ADMM with the splitting E = Z: the E update projects exactly onto the
     constraint set (A A^H = I), the Z update soft-thresholds the complex
-    magnitudes. Grids beyond 64x64 are refused unless allow_large is set;
-    at that size the spectrum rarely stays sparse enough for plain l1 to be
-    the right tool, and the iteration count grows painful.
+    magnitudes. Any grid size is solved; ``cfg.max_iters`` bounds the work.
     """
-    if len(samples) == 0:
-        raise ValueError("no samples")
-    if (samples.rows > 64 or samples.cols > 64) and not allow_large:
-        raise ValueError("basis pursuit is limited to 64x64 grids (allow_large=True overrides)")
     op = _operator_for(samples)
     y = samples.values
-    y_norm = np.linalg.norm(y)
-
-    def project(e):
-        return e - op.adjoint(op.forward(e) - y)
-
     rho = cfg.penalty
     z = op.adjoint(y)
     u = np.zeros_like(z)
     iterations = cfg.max_iters
     converged = False
     for it in range(cfg.max_iters):
-        e = project(z - u)
+        e = _project(op, y, z - u)
         z_new = _soft(e + u, 1.0 / rho)
         u = u + e - z_new
         primal = np.linalg.norm(e - z_new)
@@ -229,16 +244,7 @@ def bp_reconstruct(
             iterations = it + 1
             converged = True
             break
-    e_star = project(z)
-    residual = np.linalg.norm(op.forward(e_star) - y) / max(y_norm, 1e-30)
-    info = {
-        "iterations": iterations,
-        # True only when the tolerance test ended the loop, not at max_iters
-        "converged": converged,
-        "objective": float(np.sum(np.abs(e_star))),
-        "constraint_residual": float(residual),
-    }
-    return idft2(e_star), info
+    return _finish_equality(op, y, z, iterations, converged, lambda e: float(np.sum(np.abs(e))))
 
 
 def tv_equality_reconstruct(
@@ -259,8 +265,6 @@ def tv_equality_reconstruct(
     without input checks. A NaN or Inf iterate is caught at each 25-iteration
     check and before return, and raises ValueError.
     """
-    if len(samples) == 0:
-        raise ValueError("no samples")
     op = _operator_for(samples)
     y = samples.values
     y_norm = max(np.linalg.norm(y), 1e-30)
@@ -290,11 +294,7 @@ def tv_equality_reconstruct(
     for it in range(cfg.max_iters):
         np.multiply(sigma, _grad(e_bar, out=g), out=g)
         p += g
-        np.square(np.abs(p[0], out=mag), out=mag)
-        np.square(np.abs(p[1], out=sq), out=sq)
-        mag += sq
-        np.sqrt(mag, out=mag)
-        np.maximum(1.0, mag, out=mag)
+        np.maximum(1.0, _magnitude(p, mag, sq), out=mag)
         np.divide(1.0, mag, out=mag)
         p *= mag
         r = op._forward(e_bar)
@@ -313,16 +313,7 @@ def tv_equality_reconstruct(
                 iterations = it + 1
                 converged = True
                 break
-    e = e - op.adjoint(op.forward(e) - y)
-    residual = np.linalg.norm(op.forward(e) - y) / y_norm
-    info = {
-        "iterations": iterations,
-        # True only when the tolerance test ended the loop, not at max_iters
-        "converged": converged,
-        "objective": tv(e),
-        "constraint_residual": float(residual),
-    }
-    return idft2(e), info
+    return _finish_equality(op, y, e, iterations, converged, tv)
 
 
 @dataclass(frozen=True)
@@ -386,8 +377,6 @@ def twist_reconstruct(
     plain shrinkage step (alpha = beta = 1); if that still increases the
     objective the iteration stops.
     """
-    if len(samples) == 0:
-        raise ValueError("no samples")
     solved = samples if periodic else mirror_extend_samples(samples)
     op = _operator_for(solved)
     y = solved.values

@@ -38,7 +38,6 @@ from .cs import (
     twist_reconstruct,
 )
 from .fileio import field_from_bytes, field_to_bytes, mask_to_bytes
-from .grid import SampleSet
 from .metrics import rmse as rmse_metric, snr_db as snr_metric
 from .sampling import mask_from_draw, subsample
 from .synthesis import normalize_dynamic_range, synthesize_cvfbm
@@ -59,22 +58,17 @@ __all__ = [
     "write_mean_csv",
 ]
 
-# method name -> (the ExperimentSpec field that holds its config, solve). A
-# solve is (samples, cfg, *, periodic, allow_large) -> (field, info). It names
-# its solver at call time, so a solver replaced on this module (perfbench
-# wraps them for its spans and output checks) is the one that runs.
+# method name -> (the ExperimentSpec field that holds its config, solve). Every
+# solve is (samples, cfg, periodic) -> (field, info), where periodic says the
+# samples come from a periodic field; only cs-twist uses it so far. A solve
+# names its solver at call time, so a solver replaced on this module
+# (perfbench wraps them for its spans and output checks) is the one that runs.
 REGISTRY = {
-    "box": ("boxcar", lambda s, cfg, **_: (boxcar_reconstruct(s, cfg), {})),
-    "tp": ("thin_plate", lambda s, cfg, **_: (thin_plate_reconstruct(s, cfg), {})),
-    "cs-twist": (
-        "twist",
-        lambda s, cfg, periodic, **_: twist_reconstruct(s, cfg, periodic=periodic),
-    ),
-    "cs-tv": ("equality", lambda s, cfg, **_: tv_equality_reconstruct(s, cfg)),
-    "cs-bp": (
-        "equality",
-        lambda s, cfg, allow_large, **_: bp_reconstruct(s, cfg, allow_large=allow_large),
-    ),
+    "box": ("boxcar", lambda s, cfg, periodic: (boxcar_reconstruct(s, cfg), {})),
+    "tp": ("thin_plate", lambda s, cfg, periodic: (thin_plate_reconstruct(s, cfg), {})),
+    "cs-twist": ("twist", lambda s, cfg, periodic: twist_reconstruct(s, cfg, periodic=periodic)),
+    "cs-tv": ("equality", lambda s, cfg, periodic: tv_equality_reconstruct(s, cfg)),
+    "cs-bp": ("equality", lambda s, cfg, periodic: bp_reconstruct(s, cfg)),
 }
 METHODS = tuple(REGISTRY)
 
@@ -135,6 +129,20 @@ class ExperimentSpec:
             raise ValueError("sample_counts or subsampling_factors must be nonempty")
         if self.subsampling_factors is not None and min(self.subsampling_factors) < 1:
             raise ValueError("subsampling factors must be at least 1")
+        for h in self.hurst_values:
+            if not 0.0 < h < 1.0:
+                raise ValueError(f"hurst_values must lie in (0, 1), got {h}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
+        given = "sample_counts" if self.sample_counts is not None else "subsampling_factors"
+        total = rows * cols
+        if not all(1 <= n <= total for n in self.counts):
+            raise ValueError(f"{given} gives a sample count out of range [1, {total}]: {self.counts}")
+        for name, values in (("hurst_values", self.hurst_values), ("methods", self.methods)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat a value, got {values}")
+        if len(set(self.counts)) < len(self.counts):
+            raise ValueError(f"{given} must give distinct sample counts, got {self.counts}")
         if self.target_rms is not None and not (np.isfinite(self.target_rms) and self.target_rms > 0):
             raise ValueError("target_rms must be positive and finite")
 
@@ -322,13 +330,6 @@ def _repeat_masks(spec: ExperimentSpec, rep: int) -> list[np.ndarray]:
     return [mask_from_draw(rows, cols, n, lambda n: perm[:n]) for n in spec.counts]
 
 
-def _reconstruct(method: str, samples: SampleSet, spec: ExperimentSpec):
-    section, solve = REGISTRY[method]
-    cfg = getattr(spec, section)
-    field, info = solve(samples, cfg, periodic=spec.synthesis.periodic, allow_large=True)
-    return field, info.get("iterations", 0)
-
-
 def _run_cell(
     spec: ExperimentSpec, h_idx: int, nsub_idx: int, truth: np.ndarray, seed: int, mask: np.ndarray
 ) -> list:
@@ -336,8 +337,9 @@ def _run_cell(
     samples = subsample(truth, mask)
     out = []
     for method in spec.methods:
+        section, solve = REGISTRY[method]
         t0 = time.perf_counter()
-        recon, iterations = _reconstruct(method, samples, spec)
+        recon, info = solve(samples, getattr(spec, section), spec.synthesis.periodic)
         wall = time.perf_counter() - t0
         row = ResultRow(
             method=method,
@@ -347,14 +349,10 @@ def _run_cell(
             rmse=rmse_metric(truth, recon),
             snr_db=snr_metric(truth, recon),
             wall_time_s=wall,
-            iterations=iterations,
+            iterations=info.get("iterations", 0),
         )
         out.append((method, recon, row))
     return out
-
-
-def _cell_star(args):
-    return _run_cell(*args)
 
 
 def _run_repeat(
@@ -376,8 +374,9 @@ def _run_repeat(
         seeds.append(seed)
     masks = _repeat_masks(spec, rep)
     items = [(h_idx, nsub_idx) for nsub_idx in range(len(masks)) for h_idx in hs]
-    args = [(spec, h_idx, nsub_idx, truths[h_idx], seeds[h_idx], masks[nsub_idx]) for h_idx, nsub_idx in items]
-    cells = pool.map(_cell_star, args, chunksize=1) if pool is not None else map(_cell_star, args)
+    # map takes one iterable per argument: the cells' argument tuples, transposed
+    args = zip(*[(spec, h, n, truths[h], seeds[h], masks[n]) for h, n in items])
+    cells = pool.map(_run_cell, *args, chunksize=1) if pool is not None else map(_run_cell, *args)
     rows, made = [], []
     for (h_idx, nsub_idx), cell in zip(items, cells):
         for method, recon, row in cell:
@@ -415,6 +414,8 @@ def _run_campaign(spec: ExperimentSpec, policy: str, out_dir=None, jobs: int = 1
     # Each repeat's fields go into the same two buffers: fields freed at every
     # repeat's end would be trimmed from the heap and faulted back in by the
     # next, at a cost that shifts with the heap's layout from run to run
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     store = _ArtifactStore(out_dir) if out_dir is not None else None
     rows, manifest = [], []
     nh = len(spec.hurst_values)

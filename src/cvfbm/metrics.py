@@ -42,7 +42,7 @@ def snr_db(truth, est) -> float:
     err = float(np.sum(np.abs(e - t) ** 2))
     if err == 0:
         return SNR_CAP_DB
-    return min(SNR_CAP_DB, 10.0 * np.log10(signal / err))
+    return float(min(SNR_CAP_DB, 10.0 * np.log10(signal / err)))
 
 
 @dataclass(frozen=True)

@@ -289,21 +289,17 @@ class TestSampleAndRecon:
         assert code == 0
         assert [(cfg.window, cfg.range_adjust) for cfg in calls] == [(5, "affine")]
 
-    def test_bp_size_guard_and_allow_large(self, capsys, tmp_path):
+    def test_bp_solves_beyond_64x64(self, capsys, tmp_path):
         rng = np.random.default_rng(9)
         field_path = tmp_path / "big.cvf"
         write_cvf1(field_path, rng.normal(size=(72, 72)) + 1j * rng.normal(size=(72, 72)))
         samples_path = tmp_path / "s.csv"
         run_cli(capsys, "sample", "--field", str(field_path), "--n", "500", "--out", str(samples_path))
-        base = [
+        code, stdout, _ = run_cli(
+            capsys,
             "recon", "--samples", str(samples_path), "--rows", "72", "--cols", "72",
-            "--method", "cs-bp", "--out", str(tmp_path / "r.cvf"),
-        ]
-        code, _, err = run_cli(capsys, *base)
-        assert code == 1
-        assert "64x64" in json.loads(err.strip())["error"]
-        assert not (tmp_path / "r.cvf").exists()
-        code, stdout, _ = run_cli(capsys, *base, "--allow-large", "--max-iters", "3")
+            "--method", "cs-bp", "--max-iters", "3", "--out", str(tmp_path / "r.cvf"),
+        )
         assert code == 0
         assert last_json(stdout)["iterations"] == 3
         assert read_cvf1(tmp_path / "r.cvf").shape == (72, 72)
@@ -337,7 +333,7 @@ class TestSampleAndRecon:
         args = build_parser().parse_args(
             ["recon", "--samples", "s.csv", "--rows", "4", "--cols", "4", "--method", "box", "--out", "r.cvf"]
         )
-        not_config = {"command", "func", "samples", "rows", "cols", "method", "out", "diagnostics", "allow_large"}
+        not_config = {"command", "func", "samples", "rows", "cols", "method", "out", "diagnostics"}
         dests = set(vars(args)) - not_config
         config_fields = {f.name for cls in harness.SECTIONS.values() for f in dataclasses.fields(cls)}
         assert dests and dests <= config_fields, dests - config_fields
@@ -362,7 +358,7 @@ class TestSampleAndRecon:
         path.write_text("\n".join(lines) + "\n")
         section, solve = harness.REGISTRY[method]
         with pytest.raises(ValueError, match="NaN"):
-            solve(read_samples_csv(path, 16, 16), harness.SECTIONS[section](), periodic=False, allow_large=False)
+            solve(read_samples_csv(path, 16, 16), harness.SECTIONS[section](), periodic=False)
         code = main(
             ["recon", "--samples", str(path), "--rows", "16", "--cols", "16",
              "--method", method, "--out", str(tmp_path / "r.cvf")]
@@ -547,6 +543,8 @@ class TestBench:
             ({"subsampling_factors": [0]}, "at least 1"),
             ({"subsampling_factors": [2, 0]}, "at least 1"),
             ({"sample_counts": []}, "nonempty"),
+            ({"sample_counts": [145]}, "sample_counts gives a sample count out of range [1, 144]"),
+            ({"sample_counts": [30, 30]}, "sample_counts must give distinct sample counts"),
         ],
     )
     def test_degenerate_counts_exit_1(self, capsys, tmp_path, counts, named):
@@ -558,6 +556,20 @@ class TestBench:
         assert code == 1
         assert len(err.strip().splitlines()) == 1
         assert named in json.loads(err)["error"]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_1(self, capsys, tmp_path, jobs):
+        spec = {"grid": [12, 12], "hurst_values": [0.5], "sample_counts": [30], "methods": ["box"], "repeats": 1}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out_dir = tmp_path / "b"
+        code, stdout, err = run_cli(
+            capsys, "bench", "table2", "--out-dir", str(out_dir), "--spec", str(spec_path), "--jobs", jobs
+        )
+        assert code == 1 and stdout == ""
+        assert len(err.strip().splitlines()) == 1
+        assert json.loads(err)["error"] == "jobs must be at least 1"
         assert not out_dir.exists()
 
 

@@ -349,14 +349,6 @@ class TestBasisPursuit:
         assert info["converged"] is False
         assert info["iterations"] == cfg.max_iters
 
-    def test_large_grid_guarded(self):
-        f = random_field(65, 65, seed=9)
-        s = subsample(f, random_mask(65, 65, 50, seed=2))
-        with pytest.raises(ValueError):
-            bp_reconstruct(s)
-        out, _ = bp_reconstruct(s, EqualitySolverConfig(max_iters=5), allow_large=True)
-        assert out.shape == (65, 65)
-
     def test_empty_samples_rejected(self):
         from cvfbm import SampleSet
 

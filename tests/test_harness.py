@@ -15,6 +15,7 @@ from cvfbm import (
     TwistConfig,
     derive_seed,
     mean_table,
+    random_mask,
     rmse,
     run_table1,
     run_table2,
@@ -118,6 +119,44 @@ class TestSpecValidation:
     def test_target_rms_finite(self, target_rms):
         with pytest.raises(ValueError, match="target_rms must be positive and finite"):
             tiny_spec(target_rms=target_rms)
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"hurst_values": (0.5, 0.8, 0.5)}, "hurst_values must not repeat"),
+            ({"methods": ("box", "box")}, "methods must not repeat"),
+            ({"sample_counts": (40, 40)}, "sample_counts must give distinct"),
+            ({"sample_counts": None, "subsampling_factors": (2, 2)}, "subsampling_factors must give distinct"),
+            # two factors, one count: 144 // 49 == 144 // 50 == 2
+            ({"sample_counts": None, "subsampling_factors": (49, 50)}, "subsampling_factors must give distinct"),
+        ],
+    )
+    def test_duplicates_rejected(self, overrides, named):
+        # a repeated value would emit each of its rows twice
+        with pytest.raises(ValueError, match=named):
+            tiny_spec(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"sample_counts": (0,)}, "sample_counts"),
+            ({"sample_counts": (30, 145)}, "sample_counts"),
+            ({"sample_counts": None, "subsampling_factors": (145,)}, "subsampling_factors"),
+        ],
+    )
+    def test_count_outside_grid_rejected(self, overrides, named):
+        with pytest.raises(ValueError, match=rf"{named} gives a sample count out of range \[1, 144\]"):
+            tiny_spec(**overrides)
+
+    @pytest.mark.parametrize("h", [0.0, 1.0, -0.2, 1.5, float("nan")])
+    def test_hurst_outside_unit_interval_rejected(self, h):
+        with pytest.raises(ValueError, match=r"hurst_values must lie in \(0, 1\)"):
+            tiny_spec(hurst_values=(0.5, h))
+
+    def test_negative_base_seed_rejected(self):
+        with pytest.raises(ValueError, match="base_seed must be non-negative"):
+            tiny_spec(base_seed=-1)
+        assert tiny_spec(base_seed=0).base_seed == 0
 
     def test_counts_from_factors(self):
         spec = tiny_spec(grid=(10, 10), sample_counts=None, subsampling_factors=(2, 4))
@@ -246,15 +285,16 @@ class TestSpecJson:
             json.dumps(
                 {
                     **SMALL_SPEC,
-                    "hurst_values": [1, 0.5],
                     "target_rms": 1,
                     "thin_plate": {"p": 1, "epsilon": 0},
                     "twist": {"lambda": 2, "alpha": 1},
                 }
             )
         )
-        assert spec.hurst_values == (1.0, 0.5)
-        assert type(spec.hurst_values[0]) is float
+        # no int is a valid hurst value, but the int 1 passes the type check
+        # as the float 1.0 and only then fails the range rule
+        with pytest.raises(ValueError, match=r"hurst_values must lie in \(0, 1\), got 1\.0$"):
+            spec_from_json(json.dumps({**SMALL_SPEC, "hurst_values": [1, 0.5]}))
         assert type(spec.target_rms) is float
         assert type(spec.thin_plate.p) is float and type(spec.thin_plate.epsilon) is float
         assert type(spec.twist.lam) is float and type(spec.twist.alpha) is float
@@ -361,6 +401,19 @@ class TestCellStreams:
         assert np.hypot(f.real, f.imag).mean() == pytest.approx(0.05 * np.sqrt(np.pi / 2), rel=0.3)
 
 
+class TestRegistry:
+    @pytest.mark.parametrize("periodic", [True, False])
+    @pytest.mark.parametrize("method", harness_module.METHODS)
+    def test_every_solve_takes_samples_cfg_periodic(self, method, periodic):
+        rng = np.random.default_rng(5)
+        truth = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        samples = subsample(truth, random_mask(8, 8, 24, seed=5))
+        section, solve = harness_module.REGISTRY[method]
+        field, info = solve(samples, harness_module.SECTIONS[section](), periodic)
+        assert isinstance(field, np.ndarray) and field.shape == (8, 8)
+        assert isinstance(info, dict)
+
+
 class TestCampaign:
     def test_rerun_identical(self):
         spec = tiny_spec()
@@ -424,6 +477,13 @@ class TestCampaign:
         rows = run_table2(spec)
         assert len(rows) == 3 * 2 * 2
         assert len(calls) == 2 * 2  # counts x repeats
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, tmp_path, jobs):
+        out_dir = tmp_path / "b"
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            run_table2(tiny_spec(), out_dir=out_dir, jobs=jobs)
+        assert not out_dir.exists()
 
     def test_direct_methods_report_zero_iterations(self):
         rows = run_table2(tiny_spec())

@@ -68,7 +68,9 @@ class TestSnrDb:
     def test_hundredth_energy_twenty_db(self):
         truth = np.ones((10, 10), dtype=complex)
         est = truth + 0.1
-        assert snr_db(truth, est) == pytest.approx(20.0, abs=1e-10)
+        value = snr_db(truth, est)
+        assert type(value) is float
+        assert value == pytest.approx(20.0, abs=1e-10)
 
     def test_perfect_reconstruction_capped(self):
         f = random_field(4, 4, seed=8)
