@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,13 +153,29 @@ def _phi_table(rows: int, cols: int) -> np.ndarray:
     return _phi(dr2[:, None] + dc2[None, :])
 
 
-def _phi_matrix(samples: SampleSet, out: np.ndarray) -> np.ndarray:
-    """phi(|x_i - x_j|^2) for every pair of sample positions, written to out.
+def _phi_block(table, cols, ri, ci, rj, cj, idx, dc, out):
+    """phi between positions (ri, ci) and (rj, cj), written to the len(ri) x len(rj) out.
 
     Looked up in the flattened table of phi over grid offsets, where offset
     (|dr|, |dc|) is entry |dr|*cols + |dc|; the squared offsets are exact
-    integers, so the lookup equals phi(d2) exactly. The offsets are formed a
-    block of rows at a time, so no n x n temporary sits beside out.
+    integers, so the lookup equals phi(d2) exactly. idx and dc are np.intp
+    buffers of out's shape.
+    """
+    np.subtract(ri[:, None], rj, out=idx)
+    np.abs(idx, out=idx)
+    idx *= cols
+    np.subtract(ci[:, None], cj, out=dc)
+    np.abs(dc, out=dc)
+    idx += dc
+    return np.take(table, idx, out=out, mode="clip")
+
+
+def _phi_matrix(samples: SampleSet, out: np.ndarray) -> np.ndarray:
+    """phi(|x_i - x_j|^2) for every pair of sample positions, written to out.
+
+    The dense K of the spline system; a fit packs only its reduced form (see
+    _pack_reduced_system). Formed a block of rows at a time, so no n x n
+    temporary sits beside out.
     """
     rows, cols = samples.rows, samples.cols
     row, col = samples.positions.astype(np.intp).T
@@ -171,70 +186,135 @@ def _phi_matrix(samples: SampleSet, out: np.ndarray) -> np.ndarray:
     dc = np.empty((step, n), dtype=np.intp)
     for a in range(0, n, step):
         b = min(a + step, n)
-        blk, tmp = idx[: b - a], dc[: b - a]
-        np.subtract(row[a:b, None], row, out=blk)
-        np.abs(blk, out=blk)
-        blk *= cols
-        np.subtract(col[a:b, None], col, out=tmp)
-        np.abs(tmp, out=tmp)
-        blk += tmp
-        np.take(table, blk, out=out[a:b], mode="clip")
+        _phi_block(table, cols, row[a:b], col[a:b], row, col, idx[: b - a], dc[: b - a], out[a:b])
     return out
 
 
-# The mask-only part of the last fit, {key: (p, (lu, piv))}. The campaigns fit
-# every hurst value on the same mask, so those fits share one factorization.
+# The mask-only part of the last fit, {key: (p, order, null, anchor_rows,
+# factor)}. The campaigns fit every hurst value on the same mask, so those
+# fits share one factorization.
 _SYSTEM_MEMO: dict = {}
-# Flat float64 memory the system is built and factored in, so the memo's lu
-# is a view of it. It grows to the largest (n+3)^2 seen and never shrinks:
-# a fit on new positions rebuilds its system in the memory of the factor it
-# replaces instead of allocating (and later freeing) a fresh matrix.
+# Flat float64 memory the reduced system is packed and factored in, so the
+# memo's factor is a view of it. It grows to the largest m(m+1)/2 seen
+# (m = n - 3, about half an (n+3)^2 matrix) and never shrinks: a fit on new
+# positions packs its system in the memory of the factor it replaces instead
+# of allocating (and later freeing) a fresh one.
 _SYSTEM_BUFFER = np.empty(0)
 
 
 def clear_system_memo() -> None:
-    """Drop the thin-plate factor kept by thin_plate_coefficients, and its memory."""
+    """Drop the packed thin-plate factor kept by thin_plate_coefficients, and its memory."""
     global _SYSTEM_BUFFER
     _SYSTEM_MEMO.clear()
     _SYSTEM_BUFFER = np.empty(0)
 
 
-def _zeroed_system(size: int) -> np.ndarray:
-    """A zero-filled size x size C-ordered matrix in the shared system buffer."""
+def _system_buffer(size: int) -> np.ndarray:
+    """The first size floats of the shared system buffer, contents undefined."""
     global _SYSTEM_BUFFER
-    if _SYSTEM_BUFFER.size < size * size:
+    if _SYSTEM_BUFFER.size < size:
         _SYSTEM_BUFFER = np.empty(0)  # drop the old buffer before allocating
-        _SYSTEM_BUFFER = np.empty(size * size)
-    system = _SYSTEM_BUFFER[: size * size].reshape(size, size)
-    system.fill(0.0)
-    return system
+        _SYSTEM_BUFFER = np.empty(size)
+    return _SYSTEM_BUFFER[:size]
+
+
+def _anchors(positions: np.ndarray) -> np.ndarray:
+    """Three sample indices whose positions span a triangle, found exactly.
+
+    The first two minimize and maximize row + col, the third lies farthest
+    from the line through them; the integer cross products are exact. As
+    extreme points they give every position barycentric weights of
+    magnitude at most 4 in their triangle.
+    """
+    r, c = positions[:, 0], positions[:, 1]
+    i1, i2 = int(np.argmin(r + c)), int(np.argmax(r + c))
+    cross = (r - r[i1]) * (c[i2] - c[i1]) - (c - c[i1]) * (r[i2] - r[i1])
+    i3 = int(np.argmax(np.abs(cross)))
+    if cross[i3] == 0:
+        raise ValueError("sample positions are collinear")
+    return np.array([i1, i2, i3])
+
+
+def _pack_reduced_system(table, cols, row, col, diag, left, right, out):
+    """Write the lower triangle of M = K_rr + diag*I + left @ right to out in RFP.
+
+    row, col are the m non-anchor positions, left is m x 6 and right 6 x m.
+    Rectangular full packed storage (TRANSR='N', UPLO='L'; Gustavson,
+    Wasniewski, Dongarra & Langou 2010) keeps the triangle in m(m+1)/2
+    floats as a column-major ld x k array, with k = ceil(m/2) and ld = m + 1
+    for even m, m for odd m. Column i < k holds M[i:, i] from row i + 1
+    (even) or i (odd) down; for i >= k, M[i, k:i+1] leads column
+    i - k + (m odd). M is symmetric, so a block of its rows yields both.
+
+    Only the columns a block's rows need are formed, a block of rows at a
+    time in four reused buffers of _BLOCK_ENTRIES entries together.
+    """
+    m = len(row)
+    k, odd = (m + 1) // 2, m % 2
+    ld = m + 1 - odd
+    step = max(1, _BLOCK_ENTRIES // (4 * m))
+    buffers = [np.empty(step * m, dtype=t) for t in (np.intp, np.intp, float, float)]
+    for a in range(0, m, step):
+        b = min(a + step, m)
+        lo, hi = min(a, k), (m if a < k else b)
+        shape = (b - a, hi - lo)
+        idx, dc, blk, low = (buf[: shape[0] * shape[1]].reshape(shape) for buf in buffers)
+        _phi_block(table, cols, row[a:b], col[a:b], row[lo:hi], col[lo:hi], idx, dc, blk)
+        np.matmul(left[a:b], right[:, lo:hi], out=low)
+        blk += low
+        blk[np.arange(b - a), np.arange(a - lo, b - lo)] += diag
+        for i in range(a, b):
+            if i < k:
+                start = i * ld + i + 1 - odd
+                out[start : start + m - i] = blk[i - a, i - lo :]
+            else:
+                start = (i - k + odd) * ld
+                out[start : start + i - k + 1] = blk[i - a, k - lo : i + 1 - lo]
+    return out
 
 
 def _factor_system(samples: SampleSet, cfg: ThinPlateConfig):
-    """Check the positions, pick p and LU-factor [[K + rho*I, P], [P^T, 0]]."""
-    from scipy.linalg import LinAlgWarning, lu_factor
+    """Check the positions, pick p and factor the reduced spline system.
+
+    Let A = K + (rho + epsilon)*I, a the three anchors (the last three
+    samples of order) and r the other m = n - 3. Every c with P^T c = 0 is
+    c = Z c_r with Z = [I; null] and null = -P_a^-T P_r^T, and Z^T P = 0,
+    so Z^T A Z c_r = Z^T values. Its matrix
+    M = A_rr + U V^T + V U^T + V A_aa V^T (U = A_ra, V = null^T) is
+    positive definite, as r^2 log r is conditionally positive definite of
+    order 2 (Wahba 1990). Its Cholesky factor is taken in RFP storage in the
+    shared system buffer. Returns (p, order, null, anchor_rows, factor) with
+    anchor_rows = A_a (3 x n, columns in order) and factor None when n = 3.
+    """
+    from scipy.linalg.lapack import dpftrf
 
     n = len(samples)
-    pts = samples.positions.astype(float)
-    # collinearity check via the rank of the polynomial block
-    pblock = np.concatenate([np.ones((n, 1)), pts], axis=1)
-    if np.linalg.matrix_rank(pblock) < 3:
-        raise ValueError("sample positions are collinear")
-    p = cfg.p if cfg.p is not None else default_smoothing_p(pts)
-    rho = (1.0 - p) / p
-    system = _zeroed_system(n + 3)
-    _phi_matrix(samples, system[:n, :n])
-    np.fill_diagonal(system[:n, :n], rho + cfg.epsilon)
-    system[:n, n:] = pblock
-    system[n:, :n] = pblock.T
-    # the matrix is symmetric, so its transpose is the same matrix as an
-    # F-ordered view, which LAPACK factors in place
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(system.T, overwrite_a=True, check_finite=False)
-    if not np.diagonal(lu).all():
-        raise ValueError("thin-plate system is singular")
-    return p, (lu, piv)
+    m = n - 3
+    anchors = _anchors(samples.positions)
+    p = cfg.p if cfg.p is not None else default_smoothing_p(samples.positions)
+    diag = (1.0 - p) / p + cfg.epsilon
+    order = np.concatenate([np.delete(np.arange(n), anchors), anchors])
+    row, col = samples.positions[order].astype(np.intp).T
+    poly = np.stack([np.ones(n), row, col], axis=1)
+    null = -np.linalg.solve(poly[m:].T, poly[:m].T)
+    cols = samples.cols
+    table = _phi_table(samples.rows, cols).ravel()
+    anchor_rows = np.empty((3, n))
+    idx = np.empty((3, n), dtype=np.intp)
+    _phi_block(table, cols, row[m:], col[m:], row, col, idx, np.empty_like(idx), anchor_rows)
+    anchor_rows[:, m:] += diag * np.eye(3)
+    factor = None
+    if m:
+        # U V^T + V U^T + V A_aa V^T = [U V] [V W]^T with W = U + V A_aa
+        u, v = anchor_rows[:, :m].T, null.T
+        left = np.concatenate([u, v], axis=1)
+        right = np.concatenate([v, u + v @ anchor_rows[:, m:]], axis=1).T
+        packed = _system_buffer(m * (m + 1) // 2)
+        _pack_reduced_system(table, cols, row[:m], col[:m], diag, left, right, packed)
+        factor, info = dpftrf(m, packed, transr="N", uplo="L", overwrite_a=1)
+        if info > 0:
+            raise ValueError("thin-plate system is singular")
+    return p, order, null, anchor_rows, factor
 
 
 def thin_plate_coefficients(samples: SampleSet, cfg: ThinPlateConfig = ThinPlateConfig()):
@@ -242,27 +322,31 @@ def thin_plate_coefficients(samples: SampleSet, cfg: ThinPlateConfig = ThinPlate
 
     The surface is f(x) = sum_j c_j phi(|x - x_j|) + d0 + d1*row + d2*col
     with [[K + rho*I, P], [P^T, 0]] [c; d] = [values; 0] and rho = (1-p)/p.
-    The matrix is real, so one real solve with two right-hand sides (the real
-    and imaginary parts of the values) covers both channels. The side
-    conditions sum(c) = 0, sum(c*row) = 0, sum(c*col) = 0 are rows of the
-    system itself.
+    The side conditions P^T c = 0 (sum(c) = 0, sum(c*row) = 0,
+    sum(c*col) = 0) are met by construction: c is written over a basis of
+    their null space, fixed by three anchor samples, which leaves a reduced
+    symmetric positive-definite system of order n - 3 (see _factor_system).
+    Its Cholesky factor (LAPACK dpftrf) is held in rectangular full packed
+    storage, half an (n+3)^2 matrix. The matrices are real, so one dpftrs
+    solve with two right-hand sides (the real and imaginary parts of the
+    values) covers both channels; the anchors' coefficients follow from the
+    others and d from the anchors' three equations.
 
-    Only the right-hand side depends on the values: the LU factor of the last
-    system is kept, keyed by grid, positions (in order), p and epsilon, and a
-    fit on the same positions runs only the two-column solve. A hit and a
-    miss take the same lu_solve, so both give the same bits. One factor, of
-    (n+3)^2 floats, stays cached per process until clear_system_memo() or
-    the next fit on other positions, which rebuilds its system in the
-    factor's memory. That memory grows to the largest n seen;
-    clear_system_memo() frees it.
+    Only the right-hand side depends on the values: the packed factor of
+    the last system is kept, keyed by grid, positions (in order), p and
+    epsilon, and a fit on the same positions runs only the solve. A hit and
+    a miss take the same dpftrs, so both give the same bits. One factor
+    stays cached per process until clear_system_memo() or the next fit on
+    other positions, which packs its system in the factor's memory. That
+    memory grows to the largest n seen; clear_system_memo() frees it.
 
-    That matrix is also the fit's working memory: it is filled a block of rows
-    at a time and LU-factored in place, so a fresh fit peaks at about one
-    (n+3)^2 float64 array. The fit imports scipy.linalg and no other scipy
-    module.
+    The packed matrix is also the fit's working memory: it is filled a block
+    of rows at a time and factored in place, so a fresh fit peaks at about
+    half an (n+3)^2 float64 array. The fit imports scipy.linalg and no
+    other scipy module.
     """
     # imported here: scipy.linalg costs a noticeable share of `import cvfbm`
-    from scipy.linalg import lu_solve
+    from scipy.linalg.lapack import dpftrs
 
     n = len(samples)
     if n < 3:
@@ -271,13 +355,19 @@ def thin_plate_coefficients(samples: SampleSet, cfg: ThinPlateConfig = ThinPlate
     if key not in _SYSTEM_MEMO:
         _SYSTEM_MEMO.clear()  # never hold two systems at once
         _SYSTEM_MEMO[key] = _factor_system(samples, cfg)
-    p, factor = _SYSTEM_MEMO[key]
-    rhs = np.zeros((n + 3, 2))
-    rhs[:n, 0] = samples.values.real
-    rhs[:n, 1] = samples.values.imag
-    sol = lu_solve(factor, rhs, overwrite_b=True, check_finite=False)
-    coef = sol[:, 0] + 1j * sol[:, 1]
-    return coef[:n], coef[n:], p
+    p, order, null, anchor_rows, factor = _SYSTEM_MEMO[key]
+    m = n - 3
+    values = samples.values[order]
+    y = np.stack([values.real, values.imag], axis=1)
+    sol = np.empty((n, 2))
+    if m:
+        sol[:m], _ = dpftrs(m, factor, y[:m] + null.T @ y[m:], transr="N", uplo="L")
+    sol[m:] = null @ sol[:m]
+    anchor_poly = np.column_stack([np.ones(3), samples.positions[order[m:]]])
+    d = np.linalg.solve(anchor_poly, y[m:] - anchor_rows @ sol)
+    c = np.empty(n, dtype=np.complex128)
+    c[order] = sol[:, 0] + 1j * sol[:, 1]
+    return c, d[:, 0] + 1j * d[:, 1], p
 
 
 def thin_plate_reconstruct(samples: SampleSet, cfg: ThinPlateConfig = ThinPlateConfig()) -> np.ndarray:

@@ -48,6 +48,9 @@ class RadialProfile:
     def __post_init__(self):
         if self.kind not in ("gaussian", "moffat", "airy"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
+        for name in ("scale", "beta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
         if self.kind == "moffat" and self.beta <= 1:
@@ -75,6 +78,9 @@ def render_star(profile: RadialProfile, e1: float, e2: float, size: int, flux: f
     """
     if size % 2 == 0:
         raise ValueError("star image size must be odd")
+    for name, value in (("e1", e1), ("e2", e2), ("flux", flux)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     if np.hypot(e1, e2) >= 1.0:
         raise ValueError("|e| must be below 1")
     if flux <= 0:
@@ -91,6 +97,19 @@ def render_star(profile: RadialProfile, e1: float, e2: float, size: int, flux: f
     return img * (flux / total)
 
 
+# A moment discriminant q11*q22 - q12^2 down to -_DISC_RTOL * q11*q22 is
+# rounding of a semidefinite tensor; it counts as 0.
+_DISC_RTOL = 1e-9
+
+
+def _discriminant(q11: float, q12: float, q22: float) -> float:
+    """q11*q22 - q12^2, clipped to 0 within the tolerance; raises below it."""
+    disc = q11 * q22 - q12**2
+    if disc < -_DISC_RTOL * max(q11 * q22, 1e-300):
+        raise ValueError("moment tensor is not positive semidefinite")
+    return max(disc, 0.0)
+
+
 @dataclass(frozen=True)
 class MomentTensor:
     """Second-order brightness moments in pixel^2."""
@@ -102,9 +121,7 @@ class MomentTensor:
     def __post_init__(self):
         if self.q11 < 0 or self.q22 < 0:
             raise ValueError("diagonal moments must be non-negative")
-        det = self.q11 * self.q22 - self.q12**2
-        if det < -1e-9 * max(self.q11 * self.q22, 1e-300):
-            raise ValueError("moment tensor is not positive semidefinite")
+        _discriminant(self.q11, self.q12, self.q22)
 
 
 def brightness_moments(img, weight: RadialProfile | None = None, max_iters: int = 50, tol: float = 1e-8) -> MomentTensor:
@@ -165,10 +182,7 @@ def ellipticity_from_moments(q: MomentTensor, form: str = "squared") -> complex:
         (q11 - q22 + 2i q12) / (q11 + q22 + 2 sqrt(q11 q22 - q12^2)),
     which is the one with a known inverse under the shear used here.
     """
-    disc = q.q11 * q.q22 - q.q12**2
-    if disc < 0:
-        raise ValueError("negative moment discriminant")
-    root = np.sqrt(disc)
+    root = np.sqrt(_discriminant(q.q11, q.q12, q.q22))
     if form == "squared":
         den = q.q11**2 + q.q22**2 + 2.0 * root
         num = q.q11**2 - q.q22**2 + 2j * q.q12

@@ -420,6 +420,27 @@ class TestThinPlateFastPaths:
                 tracemalloc.stop()
         assert peak <= 1.25 * 8 * (n + 3) ** 2
 
+    def test_fit_peak_memory_is_about_half_a_system(self):
+        # the reduced system is packed in m(m+1)/2 floats, m = n - 3
+        n = 2000
+        s = subsample(synthesize_cvfbm(0.8, 100, 100, 3), random_mask(100, 100, n, seed=4))
+        # a small fit first, so the scipy import is not counted
+        thin_plate_coefficients(subsample(synthesize_cvfbm(0.8, 16, 16, 1), random_mask(16, 16, 40, seed=1)))
+        baselines.clear_system_memo()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            thin_plate_coefficients(s)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+            baselines.clear_system_memo()
+        assert peak <= 0.6 * 8 * (n + 3) ** 2
+
     def test_refit_on_new_positions_reuses_system_memory(self):
         # a fit on other positions of the same n rebuilds the system in the
         # memory of the factor it replaces, so it allocates no new matrix
@@ -513,9 +534,140 @@ class TestThinPlateMemo:
 
     def test_singular_system_raises_value_error(self, monkeypatch):
         # with phi replaced by zero and p = 1 the system is [[0, P], [P^T, 0]],
-        # rank 6 < n + 3: LU meets an exactly zero pivot
+        # rank 6 < n + 3: its reduced matrix Z^T 0 Z is zero, so dpftrf finds
+        # it not positive definite at the first pivot
         monkeypatch.setattr(baselines, "_phi", np.zeros_like)
         monkeypatch.setattr(baselines, "_SYSTEM_MEMO", {})
         s = make_samples(4, 4, [[0, 0], [0, 1], [1, 0], [1, 1], [2, 3]], np.ones(5))
         with pytest.raises(ValueError, match="singular"):
             thin_plate_coefficients(s, ThinPlateConfig(p=1.0))
+
+
+def dense_saddle_point_solve(samples, p, epsilon=0.0):
+    """Reference: np.linalg.solve of the full (n+3) x (n+3) spline system."""
+    n = len(samples)
+    pts = samples.positions.astype(float)
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
+    poly = np.column_stack([np.ones(n), pts])
+    system = np.block([[baselines._phi(d2) + ((1.0 - p) / p + epsilon) * np.eye(n), poly], [poly.T, np.zeros((3, 3))]])
+    rhs = np.zeros((n + 3, 2))
+    rhs[:n, 0], rhs[:n, 1] = samples.values.real, samples.values.imag
+    sol = np.linalg.solve(system, rhs)
+    coef = sol[:, 0] + 1j * sol[:, 1]
+    return coef[:n], coef[n:]
+
+
+class TestThinPlateReducedSystem:
+    # n - 3 = 50 and 51 give the even and odd packed layouts; on the
+    # elongated grids at p = 1 the full system itself is ill-conditioned
+    @pytest.mark.parametrize(
+        "rows, cols, n, p, tol",
+        [
+            (30, 30, 3, None, 1e-12),
+            (30, 30, 4, None, 1e-12),
+            (30, 30, 53, None, 1e-10),
+            (30, 30, 54, 0.5, 1e-10),
+            (30, 30, 200, 1.0, 1e-10),
+            (4, 4000, 300, 1.0, 1e-6),
+            (4000, 4, 300, 1.0, 1e-6),
+        ],
+    )
+    def test_matches_dense_saddle_point_solve(self, rows, cols, n, p, tol):
+        s = subsample(synthesize_cvfbm(0.7, rows, cols, 1), random_mask(rows, cols, n, seed=n))
+        cfg = ThinPlateConfig(p=p)
+        c, d, p_used = thin_plate_coefficients(s, cfg)
+        c_ref, d_ref = dense_saddle_point_solve(s, p_used)
+        if n == 3:
+            assert not c.any()  # three samples fix a plane and no kernel part
+        else:
+            assert np.max(np.abs(c - c_ref)) <= tol * np.max(np.abs(c_ref))
+        ref = dense_thin_plate_field(s, c_ref, d_ref)
+        rms = np.sqrt(np.mean(np.abs(ref) ** 2))
+        assert np.max(np.abs(thin_plate_reconstruct(s, cfg) - ref)) <= tol * rms
+
+    @pytest.mark.parametrize("n", [4, 5, 40, 41])
+    def test_packed_assembly_equals_dense_reduced_matrix(self, n, monkeypatch):
+        from scipy.linalg import lapack
+
+        packed = []
+        factor = lapack.dpftrf
+
+        def capture(m, a, **kwargs):
+            packed.append(a.copy())
+            return factor(m, a, **kwargs)
+
+        monkeypatch.setattr(lapack, "dpftrf", capture)
+        monkeypatch.setattr(baselines, "_SYSTEM_MEMO", {})
+        s = subsample(synthesize_cvfbm(0.7, 20, 20, 1), random_mask(20, 20, n, seed=n))
+        cfg = ThinPlateConfig(p=0.8, epsilon=1e-3)
+        thin_plate_coefficients(s, cfg)
+        _, order, null, _, _ = baselines._SYSTEM_MEMO[next(iter(baselines._SYSTEM_MEMO))]
+        m = n - 3
+        pts = s.positions[order].astype(float)
+        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
+        a = baselines._phi(d2) + (0.25 + 1e-3) * np.eye(n)
+        z = np.vstack([np.eye(m), null])
+        poly = np.column_stack([np.ones(n), pts])
+        assert np.max(np.abs(poly.T @ z)) <= 1e-12 * np.max(np.abs(poly))
+        dense = z.T @ a @ z
+        lower, info = lapack.dtfttr(m, packed[0], transr="N", uplo="L")
+        assert info == 0 and len(packed) == 1
+        assert np.max(np.abs(np.tril(lower) - np.tril(dense))) <= 1e-13 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("rows, cols, n", [(30, 30, 50), (100, 100, 2000), (4, 4000, 300), (4000, 4, 300)])
+    def test_anchors_are_extreme_and_weights_bounded(self, rows, cols, n):
+        pos = random_mask(rows, cols, n, seed=n)
+        i1, i2, i3 = baselines._anchors(pos)
+        s = pos.sum(axis=1)
+        assert s[i1] == s.min() and s[i2] == s.max()
+        rel = pos - pos[i1]
+        cross = rel[:, 0] * rel[i2, 1] - rel[:, 1] * rel[i2, 0]
+        assert abs(cross[i3]) == np.abs(cross).max()
+        # the barycentric weights of every position in the anchors' triangle
+        poly = np.column_stack([np.ones(n), pos])
+        weights = np.linalg.solve(poly[[i1, i2, i3]].T, poly.T)
+        assert np.abs(weights).max() <= 4.0 + 1e-12
+
+    @pytest.mark.parametrize(
+        "positions",
+        [
+            [[0, 0], [1, 1], [2, 2], [3, 3]],
+            [[2, 0], [2, 3], [2, 5], [2, 1]],
+            [[0, 4], [5, 4], [3, 4]],
+            [[0, 5], [5, 0], [2, 3], [4, 1], [1, 4]],  # row + col constant
+            [[0, 0], [1, 2], [3, 6], [2, 4], [5, 10]],
+        ],
+    )
+    def test_exactly_collinear_positions_rejected(self, positions):
+        s = make_samples(12, 12, positions, np.arange(len(positions), dtype=float))
+        with pytest.raises(ValueError, match="collinear"):
+            thin_plate_coefficients(s, ThinPlateConfig(p=1.0))
+
+    @pytest.mark.parametrize(
+        "rows, cols, positions",
+        [
+            # a triangle of area 1/2, the least a grid triangle can have
+            (1001, 1001, [[t, t] for t in range(10)] + [[1000, 999]]),
+            (2, 2000, [[0, c] for c in range(0, 2000, 50)] + [[1, 1000]]),
+        ],
+    )
+    def test_thin_triangle_solves(self, rows, cols, positions):
+        pos = np.asarray(positions)
+        values = np.random.default_rng(len(pos)).normal(size=(len(pos), 2)) @ [1.0, 1.0j]
+        s = make_samples(rows, cols, pos, values)
+        c, d, _ = thin_plate_coefficients(s, ThinPlateConfig(p=1.0))
+        c_ref, d_ref = dense_saddle_point_solve(s, 1.0)
+        assert np.max(np.abs(c - c_ref)) <= 1e-6 * np.max(np.abs(c_ref))
+        out = thin_plate_reconstruct(s, ThinPlateConfig(p=1.0))
+        assert np.max(np.abs(out[pos[:, 0], pos[:, 1]] - values)) <= 1e-7
+
+    @pytest.mark.parametrize("n", [3, 4, 53, 54])
+    def test_hit_equals_miss_at_every_size(self, n):
+        s = subsample(synthesize_cvfbm(0.7, 30, 30, 2), random_mask(30, 30, n, seed=n))
+        baselines._SYSTEM_MEMO.clear()
+        miss = thin_plate_coefficients(s)
+        assert_same_bits(thin_plate_coefficients(s), miss)
+        other = SampleSet(s.rows, s.cols, s.positions, s.values[::-1] * 2j)
+        hit = thin_plate_coefficients(other)
+        baselines._SYSTEM_MEMO.clear()
+        assert_same_bits(hit, thin_plate_coefficients(other))

@@ -596,6 +596,24 @@ class TestStarAndProfile:
         assert report["e1_out"] == pytest.approx(0.0, abs=1e-10)
         assert report["e2_out"] == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["--scale", "nan"], "scale"),
+            (["--scale=-inf"], "scale"),
+            (["--profile", "moffat", "--beta", "inf"], "beta"),
+            (["--e1", "nan"], "e1"),
+            (["--e2=-inf"], "e2"),
+        ],
+    )
+    def test_non_finite_star_input_exits_1(self, capsys, tmp_path, argv, name):
+        out = tmp_path / "star.pgm"
+        code, stdout, err = run_cli(capsys, "star", "--out", str(out), *argv)
+        assert code == 1 and stdout == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == f"{name} must be finite"
+        assert not out.exists()
+
     def test_profile_diagnostics(self, capsys, tmp_path, field_file):
         path, _ = field_file
         code, stdout, _ = run_cli(capsys, "profile", "--field", str(path))

@@ -460,18 +460,18 @@ class TestCampaign:
     def test_thin_plate_factors_once_per_mask(self, monkeypatch):
         # a mask depends on (count, repeat) only and its cells run back to
         # back, so the thin-plate memo factors each mask's system once
-        import scipy.linalg
+        import scipy.linalg.lapack
 
         from cvfbm import baselines
 
         calls = []
-        original = scipy.linalg.lu_factor
+        original = scipy.linalg.lapack.dpftrf
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpftrf", counted)
         monkeypatch.setattr(baselines, "_SYSTEM_MEMO", {})
         spec = tiny_spec(hurst_values=(0.4, 0.6, 0.8), sample_counts=(30, 60), methods=("tp",))
         rows = run_table2(spec)

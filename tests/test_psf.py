@@ -56,6 +56,24 @@ class TestRenderStar:
             img = render_star(RadialProfile(kind), 0.1, 0.1, 21)
             assert np.all(img >= 0)
 
+    @pytest.mark.parametrize("name", ["e1", "e2", "flux"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_input_rejected(self, name, value):
+        # a NaN would otherwise render an all-NaN image
+        args = dict(e1=0.1, e2=-0.1, flux=1.0)
+        args[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            render_star(RadialProfile("gaussian"), size=21, **args)
+
+
+class TestRadialProfile:
+    @pytest.mark.parametrize("kind", ["gaussian", "moffat", "airy"])
+    @pytest.mark.parametrize("name", ["scale", "beta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_parameter_rejected(self, kind, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            RadialProfile(kind, **{name: value})
+
 
 class TestBrightnessMoments:
     def test_circular_gaussian_isotropic(self):
@@ -120,6 +138,17 @@ class TestEllipticityFromMoments:
     def test_unknown_form_rejected(self):
         with pytest.raises(ValueError):
             ellipticity_from_moments(MomentTensor(1.0, 0.0, 1.0), form="other")
+
+    @pytest.mark.parametrize("form", ["squared", "standard"])
+    def test_discriminant_within_tolerance_counts_as_zero(self, form):
+        # q11*q22 - q12^2 = -2e-12: rounding of a singular tensor, which the
+        # tensor itself accepts, so its ellipticity is that of disc = 0
+        q = MomentTensor(1.0, 1.0 + 1e-12, 1.0)
+        assert ellipticity_from_moments(q, form=form) == 1j * (1.0 + 1e-12)
+
+    def test_discriminant_beyond_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            MomentTensor(1.0, 1.0 + 1e-9, 1.0)
 
 
 class TestPsfRadius:
