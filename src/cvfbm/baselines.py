@@ -121,19 +121,19 @@ def default_smoothing_p(positions: np.ndarray) -> float:
     if n < 2:
         return 1.0
     step = _block_rows(n)
-    d2 = np.empty((step, n))
-    dc2 = np.empty((step, n))
-    nearest = np.empty(n)
-    for a in range(0, n, step):
+    buffers = np.empty((2, step * n))
+    nearest = np.full(n, np.inf)
+    for a in range(0, n, step):  # rows a..b-1 against positions a.., so each pair once
         b = min(a + step, n)
-        blk, tmp = d2[: b - a], dc2[: b - a]
-        np.subtract(pts[a:b, None, 0], pts[:, 0], out=blk)
+        blk, tmp = (buf[: (b - a) * (n - a)].reshape(b - a, n - a) for buf in buffers)
+        np.subtract(pts[a:b, None, 0], pts[a:, 0], out=blk)
         blk *= blk
-        np.subtract(pts[a:b, None, 1], pts[:, 1], out=tmp)
+        np.subtract(pts[a:b, None, 1], pts[a:, 1], out=tmp)
         tmp *= tmp
         blk += tmp
-        blk[np.arange(b - a), np.arange(a, b)] = np.inf  # not its own neighbor
-        blk.min(axis=1, out=nearest[a:b])
+        blk[np.arange(b - a), np.arange(b - a)] = np.inf  # not its own neighbor
+        np.minimum(nearest[a:b], blk.min(axis=1), out=nearest[a:b])
+        np.minimum(nearest[a:], blk.min(axis=0), out=nearest[a:])
     h = float(np.mean(np.sqrt(nearest)))
     return 1.0 / (1.0 + h**3 / 6.0)
 
@@ -170,52 +170,24 @@ def _phi_block(table, cols, ri, ci, rj, cj, idx, dc, out):
     return np.take(table, idx, out=out, mode="clip")
 
 
-def _phi_matrix(samples: SampleSet, out: np.ndarray) -> np.ndarray:
-    """phi(|x_i - x_j|^2) for every pair of sample positions, written to out.
-
-    The dense K of the spline system; a fit packs only its reduced form (see
-    _pack_reduced_system). Formed a block of rows at a time, so no n x n
-    temporary sits beside out.
-    """
-    rows, cols = samples.rows, samples.cols
-    row, col = samples.positions.astype(np.intp).T
-    table = _phi_table(rows, cols).ravel()
-    n = len(row)
-    step = _block_rows(n)
-    idx = np.empty((step, n), dtype=np.intp)
-    dc = np.empty((step, n), dtype=np.intp)
-    for a in range(0, n, step):
-        b = min(a + step, n)
-        _phi_block(table, cols, row[a:b], col[a:b], row, col, idx[: b - a], dc[: b - a], out[a:b])
-    return out
-
-
 # The mask-only part of the last fit, {key: (p, order, null, anchor_rows,
 # factor)}. The campaigns fit every hurst value on the same mask, so those
 # fits share one factorization.
 _SYSTEM_MEMO: dict = {}
-# Flat float64 memory the reduced system is packed and factored in, so the
-# memo's factor is a view of it. It grows to the largest m(m+1)/2 seen
-# (m = n - 3, about half an (n+3)^2 matrix) and never shrinks: a fit on new
-# positions packs its system in the memory of the factor it replaces instead
-# of allocating (and later freeing) a fresh one.
+# Flat float64 memory the reduced system is built and factored in, viewed by
+# the memo's factor. It only grows (to about half an (n+3)^2 matrix), so a fit
+# on new positions builds its system in the memory of the factor it replaces.
 _SYSTEM_BUFFER = np.empty(0)
+# Width of the system's block columns: wide enough for large products, narrow
+# enough that the diagonal blocks' unused upper triangles stay small.
+_PANEL = 128
 
 
 def clear_system_memo() -> None:
-    """Drop the packed thin-plate factor kept by thin_plate_coefficients, and its memory."""
+    """Drop the thin-plate factor kept by thin_plate_coefficients, and its memory."""
     global _SYSTEM_BUFFER
     _SYSTEM_MEMO.clear()
     _SYSTEM_BUFFER = np.empty(0)
-
-
-def _system_buffer(size: int) -> np.ndarray:
-    """The first size floats of the shared system buffer, contents undefined."""
-    global _SYSTEM_BUFFER
-    if _SYSTEM_BUFFER.size < size:
-        _SYSTEM_BUFFER = np.empty(0)  # drop the old buffer before allocating
-        _SYSTEM_BUFFER = np.empty(size)
-    return _SYSTEM_BUFFER[:size]
 
 
 def _anchors(positions: np.ndarray) -> np.ndarray:
@@ -235,42 +207,88 @@ def _anchors(positions: np.ndarray) -> np.ndarray:
     return np.array([i1, i2, i3])
 
 
-def _pack_reduced_system(table, cols, row, col, diag, left, right, out):
-    """Write the lower triangle of M = K_rr + diag*I + left @ right to out in RFP.
+def _reduced_system(table, cols, row, col, diag, left, right) -> list:
+    """M = K_rr + diag*I + left @ right as the block columns of its lower triangle.
 
     row, col are the m non-anchor positions, left is m x 6 and right 6 x m.
-    Rectangular full packed storage (TRANSR='N', UPLO='L'; Gustavson,
-    Wasniewski, Dongarra & Langou 2010) keeps the triangle in m(m+1)/2
-    floats as a column-major ld x k array, with k = ceil(m/2) and ld = m + 1
-    for even m, m for odd m. Column i < k holds M[i:, i] from row i + 1
-    (even) or i (odd) down; for i >= k, M[i, k:i+1] leads column
-    i - k + (m odd). M is symmetric, so a block of its rows yields both.
-
-    Only the columns a block's rows need are formed, a block of rows at a
-    time in four reused buffers of _BLOCK_ENTRIES entries together.
+    Block column j, a view of the system buffer, holds rows a..m-1 of columns
+    a..a+w-1 (a = j*_PANEL, w = min(_PANEL, m - a)), its top w x w being the
+    diagonal block; it is filled a chunk of rows at a time.
     """
+    global _SYSTEM_BUFFER
     m = len(row)
-    k, odd = (m + 1) // 2, m % 2
-    ld = m + 1 - odd
-    step = max(1, _BLOCK_ENTRIES // (4 * m))
-    buffers = [np.empty(step * m, dtype=t) for t in (np.intp, np.intp, float, float)]
-    for a in range(0, m, step):
-        b = min(a + step, m)
-        lo, hi = min(a, k), (m if a < k else b)
-        shape = (b - a, hi - lo)
-        idx, dc, blk, low = (buf[: shape[0] * shape[1]].reshape(shape) for buf in buffers)
-        _phi_block(table, cols, row[a:b], col[a:b], row[lo:hi], col[lo:hi], idx, dc, blk)
-        np.matmul(left[a:b], right[:, lo:hi], out=low)
-        blk += low
-        blk[np.arange(b - a), np.arange(a - lo, b - lo)] += diag
-        for i in range(a, b):
-            if i < k:
-                start = i * ld + i + 1 - odd
-                out[start : start + m - i] = blk[i - a, i - lo :]
-            else:
-                start = (i - k + odd) * ld
-                out[start : start + i - k + 1] = blk[i - a, k - lo : i + 1 - lo]
-    return out
+    sizes = [(m - a) * min(_PANEL, m - a) for a in range(0, m, _PANEL)]
+    if _SYSTEM_BUFFER.size < sum(sizes):
+        _SYSTEM_BUFFER = np.empty(0)  # drop the old buffer before allocating
+        _SYSTEM_BUFFER = np.empty(sum(sizes))
+    step = max(1, _BLOCK_ENTRIES // (3 * _PANEL))
+    buffers = [np.empty(step * _PANEL, dtype=t) for t in (np.intp, np.intp, float)]
+    blocks, end = [], 0
+    for a, size in zip(range(0, m, _PANEL), sizes):
+        blk = _SYSTEM_BUFFER[end : end + size].reshape(m - a, -1)
+        end += size
+        w = blk.shape[1]
+        for lo in range(0, m - a, step):
+            out = blk[lo : lo + step]
+            idx, dc, low = (buf[: out.size].reshape(out.shape) for buf in buffers)
+            rows = slice(a + lo, a + lo + len(out))
+            _phi_block(table, cols, row[rows], col[rows], row[a : a + w], col[a : a + w], idx, dc, out)
+            out += np.matmul(left[rows], right[:, a : a + w], out=low)
+        blk[np.arange(w), np.arange(w)] += diag
+        blocks.append(blk)
+    return blocks
+
+
+def _inverse_factor(a: np.ndarray) -> np.ndarray:
+    """X = L^-1 for a's Cholesky factor L, on halves: X = [[X11, 0], [-X22 L21 X11, X22]].
+    numpy's LAPACK takes longer on one 128-wide block than on its 32-wide parts."""
+    if len(a) <= 32:
+        return np.tril(np.linalg.inv(np.linalg.cholesky(a)))
+    h = len(a) // 2
+    x = np.zeros_like(a)
+    x[:h, :h] = _inverse_factor(a[:h, :h])
+    low = a[h:, :h] @ x[:h, :h].T  # L21
+    x[h:, h:] = _inverse_factor(a[h:, h:] - low @ low.T)
+    x[h:, :h] = -(x[h:, h:] @ low) @ x[:h, :h]
+    return x
+
+
+def _cholesky(blocks) -> None:
+    """Factor M = L L^T in place over its block columns, right-looking: each
+    diagonal block becomes the inverse X of its factor, the rows below it
+    times X^T give L there, and their outer product is subtracted from the
+    later block columns, a chunk of rows at a time through one buffer.
+    """
+    work = np.empty(_BLOCK_ENTRIES)
+    step = _BLOCK_ENTRIES // _PANEL
+    for j, blk in enumerate(blocks):
+        w = blk.shape[1]
+        try:
+            blk[:w] = _inverse_factor(blk[:w])
+        except np.linalg.LinAlgError:
+            raise ValueError("thin-plate system is singular") from None
+        panel = blk[w:]
+        for lo in range(0, len(panel), step):
+            rows = panel[lo : lo + step]
+            rows[...] = np.matmul(rows, blk[:w].T, out=work[: rows.size].reshape(rows.shape))
+        for k, later in enumerate(blocks[j + 1 :]):
+            below = panel[k * _PANEL :]  # the panel's rows of block column j + 1 + k
+            for lo in range(0, len(later), step):
+                rows = later[lo : lo + step]
+                prod = work[: rows.size].reshape(rows.shape)
+                rows -= np.matmul(below[lo : lo + step], below[: later.shape[1]].T, out=prod)
+
+
+def _cholesky_solve(blocks, b: np.ndarray) -> None:
+    """Solve L L^T x = b in place, L as _cholesky leaves it; b is m x k."""
+    for j, blk in enumerate(blocks):  # L y = b, a block of unknowns at a time
+        a, w = j * _PANEL, blk.shape[1]
+        b[a : a + w] = blk[:w] @ b[a : a + w]
+        b[a + w :] -= blk[w:] @ b[a : a + w]
+    for j, blk in reversed(list(enumerate(blocks))):  # then L^T x = y
+        a, w = j * _PANEL, blk.shape[1]
+        b[a : a + w] -= blk[w:].T @ b[a + w :]
+        b[a : a + w] = blk[:w].T @ b[a : a + w]
 
 
 def _factor_system(samples: SampleSet, cfg: ThinPlateConfig):
@@ -282,12 +300,10 @@ def _factor_system(samples: SampleSet, cfg: ThinPlateConfig):
     so Z^T A Z c_r = Z^T values. Its matrix
     M = A_rr + U V^T + V U^T + V A_aa V^T (U = A_ra, V = null^T) is
     positive definite, as r^2 log r is conditionally positive definite of
-    order 2 (Wahba 1990). Its Cholesky factor is taken in RFP storage in the
-    shared system buffer. Returns (p, order, null, anchor_rows, factor) with
-    anchor_rows = A_a (3 x n, columns in order) and factor None when n = 3.
+    order 2 (Wahba 1990). Returns (p, order, null, anchor_rows, factor)
+    with anchor_rows = A_a (3 x n, columns in order) and factor M's block
+    columns, Cholesky-factored in place (none when n = 3).
     """
-    from scipy.linalg.lapack import dpftrf
-
     n = len(samples)
     m = n - 3
     anchors = _anchors(samples.positions)
@@ -303,17 +319,12 @@ def _factor_system(samples: SampleSet, cfg: ThinPlateConfig):
     idx = np.empty((3, n), dtype=np.intp)
     _phi_block(table, cols, row[m:], col[m:], row, col, idx, np.empty_like(idx), anchor_rows)
     anchor_rows[:, m:] += diag * np.eye(3)
-    factor = None
-    if m:
-        # U V^T + V U^T + V A_aa V^T = [U V] [V W]^T with W = U + V A_aa
-        u, v = anchor_rows[:, :m].T, null.T
-        left = np.concatenate([u, v], axis=1)
-        right = np.concatenate([v, u + v @ anchor_rows[:, m:]], axis=1).T
-        packed = _system_buffer(m * (m + 1) // 2)
-        _pack_reduced_system(table, cols, row[:m], col[:m], diag, left, right, packed)
-        factor, info = dpftrf(m, packed, transr="N", uplo="L", overwrite_a=1)
-        if info > 0:
-            raise ValueError("thin-plate system is singular")
+    # U V^T + V U^T + V A_aa V^T = [U V] [V W]^T with W = U + V A_aa
+    u, v = anchor_rows[:, :m].T, null.T
+    left = np.concatenate([u, v], axis=1)
+    right = np.concatenate([v, u + v @ anchor_rows[:, m:]], axis=1).T
+    factor = _reduced_system(table, cols, row[:m], col[:m], diag, left, right)
+    _cholesky(factor)
     return p, order, null, anchor_rows, factor
 
 
@@ -322,32 +333,20 @@ def thin_plate_coefficients(samples: SampleSet, cfg: ThinPlateConfig = ThinPlate
 
     The surface is f(x) = sum_j c_j phi(|x - x_j|) + d0 + d1*row + d2*col
     with [[K + rho*I, P], [P^T, 0]] [c; d] = [values; 0] and rho = (1-p)/p.
-    The side conditions P^T c = 0 (sum(c) = 0, sum(c*row) = 0,
-    sum(c*col) = 0) are met by construction: c is written over a basis of
-    their null space, fixed by three anchor samples, which leaves a reduced
-    symmetric positive-definite system of order n - 3 (see _factor_system).
-    Its Cholesky factor (LAPACK dpftrf) is held in rectangular full packed
-    storage, half an (n+3)^2 matrix. The matrices are real, so one dpftrs
-    solve with two right-hand sides (the real and imaginary parts of the
-    values) covers both channels; the anchors' coefficients follow from the
-    others and d from the anchors' three equations.
+    The side conditions P^T c = 0 are met by construction: c is written over
+    a basis of their null space, fixed by three anchor samples, which leaves
+    a symmetric positive-definite system of order n - 3 (see _factor_system),
+    filled and Cholesky-factored in place in block columns of its lower
+    triangle: a fresh fit peaks at about half an (n+3)^2 float64 array. One
+    block forward and back substitution with two right-hand sides (the real
+    and imaginary parts of the values) covers both channels.
 
-    Only the right-hand side depends on the values: the packed factor of
-    the last system is kept, keyed by grid, positions (in order), p and
-    epsilon, and a fit on the same positions runs only the solve. A hit and
-    a miss take the same dpftrs, so both give the same bits. One factor
-    stays cached per process until clear_system_memo() or the next fit on
-    other positions, which packs its system in the factor's memory. That
-    memory grows to the largest n seen; clear_system_memo() frees it.
-
-    The packed matrix is also the fit's working memory: it is filled a block
-    of rows at a time and factored in place, so a fresh fit peaks at about
-    half an (n+3)^2 float64 array. The fit imports scipy.linalg and no
-    other scipy module.
+    The factor of the last system is kept, keyed by grid, positions (in
+    order), p and epsilon, so a fit on the same positions runs only the
+    solve; a hit and a miss take the same solve and give the same bits. It
+    stays until clear_system_memo() (which also frees its memory) or the
+    next fit on other positions, which builds its system in that memory.
     """
-    # imported here: scipy.linalg costs a noticeable share of `import cvfbm`
-    from scipy.linalg.lapack import dpftrs
-
     n = len(samples)
     if n < 3:
         raise ValueError("thin-plate fit needs at least 3 samples")
@@ -360,8 +359,8 @@ def thin_plate_coefficients(samples: SampleSet, cfg: ThinPlateConfig = ThinPlate
     values = samples.values[order]
     y = np.stack([values.real, values.imag], axis=1)
     sol = np.empty((n, 2))
-    if m:
-        sol[:m], _ = dpftrs(m, factor, y[:m] + null.T @ y[m:], transr="N", uplo="L")
+    sol[:m] = y[:m] + null.T @ y[m:]
+    _cholesky_solve(factor, sol[:m])
     sol[m:] = null @ sol[:m]
     anchor_poly = np.column_stack([np.ones(3), samples.positions[order[m:]]])
     d = np.linalg.solve(anchor_poly, y[m:] - anchor_rows @ sol)

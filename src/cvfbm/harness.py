@@ -330,29 +330,32 @@ def _repeat_masks(spec: ExperimentSpec, rep: int) -> list[np.ndarray]:
     return [mask_from_draw(rows, cols, n, lambda n: perm[:n]) for n in spec.counts]
 
 
-def _run_cell(
-    spec: ExperimentSpec, h_idx: int, nsub_idx: int, truth: np.ndarray, seed: int, mask: np.ndarray
-) -> list:
-    """Reconstruct one cell by every method: [(method, recon, row), ...]."""
-    samples = subsample(truth, mask)
-    out = []
-    for method in spec.methods:
-        section, solve = REGISTRY[method]
-        t0 = time.perf_counter()
-        recon, info = solve(samples, getattr(spec, section), spec.synthesis.periodic)
-        wall = time.perf_counter() - t0
-        row = ResultRow(
-            method=method,
-            h=spec.hurst_values[h_idx],
-            n_sub=spec.counts[nsub_idx],
-            seed=seed,
-            rmse=rmse_metric(truth, recon),
-            snr_db=snr_metric(truth, recon),
-            wall_time_s=wall,
-            iterations=info.get("iterations", 0),
-        )
-        out.append((method, recon, row))
-    return out
+def _run_mask(spec: ExperimentSpec, nsub_idx: int, truths: np.ndarray, seeds: list, mask: np.ndarray):
+    """Yield the cells of one mask, h after h, by every method, as
+    (h_idx, method, recon, row). Thin-plate factors the mask once."""
+    for h_idx, (truth, seed) in enumerate(zip(truths, seeds)):
+        samples = subsample(truth, mask)
+        for method in spec.methods:
+            section, solve = REGISTRY[method]
+            t0 = time.perf_counter()
+            recon, info = solve(samples, getattr(spec, section), spec.synthesis.periodic)
+            wall = time.perf_counter() - t0
+            row = ResultRow(
+                method=method,
+                h=spec.hurst_values[h_idx],
+                n_sub=spec.counts[nsub_idx],
+                seed=seed,
+                rmse=rmse_metric(truth, recon),
+                snr_db=snr_metric(truth, recon),
+                wall_time_s=wall,
+                iterations=info.get("iterations", 0),
+            )
+            yield h_idx, method, recon, row
+
+
+def _mask_task(*args) -> list:
+    """_run_mask as one pool task, its cells collected in the worker."""
+    return list(_run_mask(*args))
 
 
 def _run_repeat(
@@ -360,26 +363,23 @@ def _run_repeat(
 ) -> tuple[list, list]:
     """Run one repeat's cells: (result rows, manifest entries).
 
-    The repeat's truths (one per h) and masks (one per count) are built once
-    and shared by its cells, which run by count, then by h: the cells of one
-    mask stay back to back and thin-plate reuses its factorization across
-    them. Truths and reconstructions are copied into the campaign's
-    ``truths`` and ``recons`` buffers, which every repeat overwrites. With a
-    store, every truth, mask and reconstruction is stored before return.
+    The repeat's truths (one per h) and masks (one per count) are built once;
+    each mask is one pool task, or run serially cell by cell (see _run_mask).
+    Truths and reconstructions are copied into the campaign's ``truths`` and
+    ``recons`` buffers, which every repeat overwrites. With a store, every
+    truth, mask and reconstruction is stored before return.
     """
-    hs = range(len(spec.hurst_values))
     seeds = []
-    for h_idx in hs:
+    for h_idx in range(len(spec.hurst_values)):
         truths[h_idx], seed = _cell_truth(spec, policy, h_idx, rep)
         seeds.append(seed)
     masks = _repeat_masks(spec, rep)
-    items = [(h_idx, nsub_idx) for nsub_idx in range(len(masks)) for h_idx in hs]
-    # map takes one iterable per argument: the cells' argument tuples, transposed
-    args = zip(*[(spec, h, n, truths[h], seeds[h], masks[n]) for h, n in items])
-    cells = pool.map(_run_cell, *args, chunksize=1) if pool is not None else map(_run_cell, *args)
+    k = len(masks)
+    args = ([spec] * k, range(k), [truths] * k, [seeds] * k, masks)  # map takes one iterable per argument
+    tasks = pool.map(_mask_task, *args) if pool is not None else map(_run_mask, *args)
     rows, made = [], []
-    for (h_idx, nsub_idx), cell in zip(items, cells):
-        for method, recon, row in cell:
+    for nsub_idx, cells in enumerate(tasks):
+        for h_idx, method, recon, row in cells:
             recons[len(rows)] = recon
             rows.append(row)
             made.append((h_idx, nsub_idx, method))

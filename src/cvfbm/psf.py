@@ -119,6 +119,9 @@ class MomentTensor:
     q22: float
 
     def __post_init__(self):
+        for name in ("q11", "q12", "q22"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.q11 < 0 or self.q22 < 0:
             raise ValueError("diagonal moments must be non-negative")
         _discriminant(self.q11, self.q12, self.q22)

@@ -24,6 +24,7 @@ from cvfbm import (
     synthesize_cvfbm,
     thin_plate_coefficients,
     thin_plate_reconstruct,
+    write_samples_csv,
 )
 
 
@@ -327,6 +328,14 @@ def dense_thin_plate_field(samples, c, d):
     return out.reshape(samples.rows, samples.cols)
 
 
+def phi_matrix(samples, out):
+    """phi(|x_i - x_j|^2) for every pair of sample positions, by the fit's offset-table lookup."""
+    row, col = samples.positions.astype(np.intp).T
+    idx = np.empty(out.shape, dtype=np.intp)
+    table = baselines._phi_table(samples.rows, samples.cols).ravel()
+    return baselines._phi_block(table, samples.cols, row, col, row, col, idx, np.empty_like(idx), out)
+
+
 def brute_force_smoothing_p(positions):
     """Reference heuristic: nearest-neighbour spacing from the full distance matrix."""
     pts = np.asarray(positions, dtype=float)
@@ -357,9 +366,9 @@ class TestThinPlateFastPaths:
         d2 = ((s.positions[:, None, :] - s.positions[None, :, :]).astype(float) ** 2).sum(-1)
         table = baselines._phi_table(s.rows, s.cols)
         assert np.array_equal(table[np.abs(r[:, None] - r), np.abs(c[:, None] - c)], baselines._phi(d2))
-        # the system fill writes into a strided block of the larger matrix
+        # the lookup writes into a strided block of a larger matrix
         system = np.full((33, 33), np.nan)
-        baselines._phi_matrix(s, system[:30, :30])
+        phi_matrix(s, system[:30, :30])
         assert np.array_equal(system[:30, :30], baselines._phi(d2))
         assert np.isnan(system[30:]).all() and np.isnan(system[:, 30:]).all()
 
@@ -372,7 +381,7 @@ class TestThinPlateFastPaths:
         s = make_samples(rows, cols, pos, np.ones(len(pos)))
         d2 = ((s.positions[:, None, :] - s.positions[None, :, :]).astype(float) ** 2).sum(-1)
         out = np.empty((len(pos), len(pos)))
-        baselines._phi_matrix(s, out)
+        phi_matrix(s, out)
         assert np.array_equal(out, baselines._phi(d2))
 
     @pytest.mark.parametrize("n, seed", [(2, 0), (3, 1), (40, 2), (500, 3), (2000, 4)])
@@ -394,7 +403,7 @@ class TestThinPlateFastPaths:
         s = make_samples(100, 100, random_mask(100, 100, n, seed=n), np.ones(n))
         d2 = ((s.positions[:, None, :] - s.positions[None, :, :]).astype(float) ** 2).sum(-1)
         out = np.empty((n, n))
-        baselines._phi_matrix(s, out)
+        phi_matrix(s, out)
         assert np.array_equal(out, baselines._phi(d2))
         assert default_smoothing_p(s.positions) == brute_force_smoothing_p(s.positions)
         # off-grid positions, where the squared distances are not integers
@@ -463,22 +472,32 @@ class TestThinPlateFastPaths:
             baselines.clear_system_memo()
         assert peak <= 0.25 * 8 * (n + 3) ** 2
 
-    def test_import_does_not_load_scipy_spatial(self):
+    def test_import_does_not_load_scipy_spatial(self, tmp_path):
         src = str(Path(cvfbm.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        names = "('scipy.spatial', 'scipy.linalg', 'scipy.special')"
-        code = f"import sys, cvfbm; print([m in sys.modules for m in {names}])"
+        loaded = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+        code = f"import sys, cvfbm; print({loaded})"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[False, False, False]"
-        # a thin-plate fit needs scipy.linalg only
+        assert out.stdout.strip() == "[]"
+        # a thin-plate fit needs numpy only
         code = (
             "import sys, cvfbm; "
             "f = cvfbm.synthesize_cvfbm(0.8, 16, 16, 1); "
             "cvfbm.thin_plate_reconstruct(cvfbm.subsample(f, cvfbm.random_mask(16, 16, 40, seed=1))); "
-            f"print([m in sys.modules for m in {names}])"
+            f"print({loaded})"
         )
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[False, True, False]"
+        assert out.stdout.strip() == "[]"
+        # and so does `cvfbm recon --method tp`
+        samples = tmp_path / "s.csv"
+        f = synthesize_cvfbm(0.8, 16, 16, 1)
+        write_samples_csv(samples, subsample(f, random_mask(16, 16, 40, seed=1)))
+        argv = ["recon", "--samples", str(samples), "--rows", "16", "--cols", "16", "--method", "tp"]
+        argv += ["--out", str(tmp_path / "r.cvf")]
+        code = f"import sys; from cvfbm.cli import main; code = main({argv!r}); print(code, {loaded})"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip().splitlines()[-1] == "0 []"
+        assert (tmp_path / "r.cvf").exists()
 
     def test_package_exports_the_module_lists(self):
         names = ("baselines", "cs", "fileio", "grid", "harness", "metrics", "psf", "sampling", "synthesis")
@@ -534,8 +553,8 @@ class TestThinPlateMemo:
 
     def test_singular_system_raises_value_error(self, monkeypatch):
         # with phi replaced by zero and p = 1 the system is [[0, P], [P^T, 0]],
-        # rank 6 < n + 3: its reduced matrix Z^T 0 Z is zero, so dpftrf finds
-        # it not positive definite at the first pivot
+        # rank 6 < n + 3: its reduced matrix Z^T 0 Z is zero, so the Cholesky
+        # factor of its first diagonal block fails at the first pivot
         monkeypatch.setattr(baselines, "_phi", np.zeros_like)
         monkeypatch.setattr(baselines, "_SYSTEM_MEMO", {})
         s = make_samples(4, 4, [[0, 0], [0, 1], [1, 0], [1, 1], [2, 3]], np.ones(5))
@@ -585,23 +604,23 @@ class TestThinPlateReducedSystem:
         rms = np.sqrt(np.mean(np.abs(ref) ** 2))
         assert np.max(np.abs(thin_plate_reconstruct(s, cfg) - ref)) <= tol * rms
 
-    @pytest.mark.parametrize("n", [4, 5, 40, 41])
+    # m = n - 3 = 1, 2, 37, 38, just below, at and just above one and two
+    # block-column widths, and 342: one row more than a fill chunk
+    @pytest.mark.parametrize("n", [4, 5, 40, 41, 66, 67, 68, 131, 132, 345])
     def test_packed_assembly_equals_dense_reduced_matrix(self, n, monkeypatch):
-        from scipy.linalg import lapack
+        filled = []
+        factor = baselines._cholesky
 
-        packed = []
-        factor = lapack.dpftrf
+        def capture(blocks):
+            filled.append([blk.copy() for blk in blocks])
+            return factor(blocks)
 
-        def capture(m, a, **kwargs):
-            packed.append(a.copy())
-            return factor(m, a, **kwargs)
-
-        monkeypatch.setattr(lapack, "dpftrf", capture)
+        monkeypatch.setattr(baselines, "_cholesky", capture)
         monkeypatch.setattr(baselines, "_SYSTEM_MEMO", {})
         s = subsample(synthesize_cvfbm(0.7, 20, 20, 1), random_mask(20, 20, n, seed=n))
         cfg = ThinPlateConfig(p=0.8, epsilon=1e-3)
         thin_plate_coefficients(s, cfg)
-        _, order, null, _, _ = baselines._SYSTEM_MEMO[next(iter(baselines._SYSTEM_MEMO))]
+        _, order, null, _, blocks = baselines._SYSTEM_MEMO[next(iter(baselines._SYSTEM_MEMO))]
         m = n - 3
         pts = s.positions[order].astype(float)
         d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
@@ -610,9 +629,20 @@ class TestThinPlateReducedSystem:
         poly = np.column_stack([np.ones(n), pts])
         assert np.max(np.abs(poly.T @ z)) <= 1e-12 * np.max(np.abs(poly))
         dense = z.T @ a @ z
-        lower, info = lapack.dtfttr(m, packed[0], transr="N", uplo="L")
-        assert info == 0 and len(packed) == 1
+        assert len(filled) == 1
+        assert [blk.shape for blk in filled[0]] == [
+            (m - j, min(baselines._PANEL, m - j)) for j in range(0, m, baselines._PANEL)
+        ]
+        lower, factor_l = np.zeros((m, m)), np.zeros((m, m))
+        for j, blk, done in zip(range(0, m, baselines._PANEL), filled[0], blocks):
+            w = blk.shape[1]
+            lower[j:, j : j + w] = blk
+            factor_l[j:, j : j + w] = done
+            # the diagonal block holds the inverse of the factor's block
+            factor_l[j : j + w, j : j + w] = np.linalg.inv(done[:w])
         assert np.max(np.abs(np.tril(lower) - np.tril(dense))) <= 1e-13 * np.max(np.abs(dense))
+        factor_l = np.tril(factor_l)
+        assert np.max(np.abs(factor_l @ factor_l.T - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("rows, cols, n", [(30, 30, 50), (100, 100, 2000), (4, 4000, 300), (4000, 4, 300)])
     def test_anchors_are_extreme_and_weights_bounded(self, rows, cols, n):

@@ -460,23 +460,52 @@ class TestCampaign:
     def test_thin_plate_factors_once_per_mask(self, monkeypatch):
         # a mask depends on (count, repeat) only and its cells run back to
         # back, so the thin-plate memo factors each mask's system once
-        import scipy.linalg.lapack
-
         from cvfbm import baselines
 
         calls = []
-        original = scipy.linalg.lapack.dpftrf
+        original = baselines._cholesky
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dpftrf", counted)
+        monkeypatch.setattr(baselines, "_cholesky", counted)
         monkeypatch.setattr(baselines, "_SYSTEM_MEMO", {})
         spec = tiny_spec(hurst_values=(0.4, 0.6, 0.8), sample_counts=(30, 60), methods=("tp",))
         rows = run_table2(spec)
         assert len(rows) == 3 * 2 * 2
         assert len(calls) == 2 * 2  # counts x repeats
+
+    def test_pool_gets_one_task_per_mask(self, monkeypatch):
+        # under --jobs each mask is one task that runs every h of it, so the
+        # worker that gets the task factors the mask's thin-plate system once
+        from cvfbm import baselines
+
+        calls, tasks = [], []
+        original = baselines._cholesky
+        monkeypatch.setattr(baselines, "_cholesky", lambda blocks: calls.append(1) or original(blocks))
+
+        class InlinePool:  # stands in for ProcessPoolExecutor, running each task here
+            def __init__(self, max_workers):
+                assert max_workers == 2
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                args = list(zip(*iterables))
+                tasks.extend(args)
+                return [fn(*a) for a in args]
+
+        monkeypatch.setattr(harness_module, "ProcessPoolExecutor", InlinePool)
+        spec = tiny_spec(hurst_values=(0.4, 0.6, 0.8), sample_counts=(30, 60), methods=("tp",))
+        key = lambda rows: [(r.method, r.h, r.n_sub, r.seed, r.rmse, r.snr_db) for r in rows]
+        assert key(run_table2(spec, jobs=2)) == key(run_table2(spec))
+        assert len(tasks) == 2 * 2  # counts x repeats
+        assert len(calls) == 2 * (2 * 2)  # both runs factor each mask once
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one_rejected(self, tmp_path, jobs):

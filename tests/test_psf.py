@@ -171,6 +171,16 @@ class TestMomentTensor:
         with pytest.raises(ValueError):
             MomentTensor(q11=-1.0, q12=0.0, q22=1.0)
 
+    @pytest.mark.parametrize("name", ["q11", "q12", "q22"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_moment_rejected(self, name, value):
+        # a NaN fails no comparison, so it would pass the sign and
+        # discriminant checks and give a NaN ellipticity
+        args = dict(q11=2.0, q12=0.5, q22=1.0)
+        args[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            MomentTensor(**args)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(
