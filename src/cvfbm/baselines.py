@@ -239,20 +239,6 @@ def _reduced_system(table, cols, row, col, diag, left, right) -> list:
     return blocks
 
 
-def _inverse_factor(a: np.ndarray) -> np.ndarray:
-    """X = L^-1 for a's Cholesky factor L, on halves: X = [[X11, 0], [-X22 L21 X11, X22]].
-    numpy's LAPACK takes longer on one 128-wide block than on its 32-wide parts."""
-    if len(a) <= 32:
-        return np.tril(np.linalg.inv(np.linalg.cholesky(a)))
-    h = len(a) // 2
-    x = np.zeros_like(a)
-    x[:h, :h] = _inverse_factor(a[:h, :h])
-    low = a[h:, :h] @ x[:h, :h].T  # L21
-    x[h:, h:] = _inverse_factor(a[h:, h:] - low @ low.T)
-    x[h:, :h] = -(x[h:, h:] @ low) @ x[:h, :h]
-    return x
-
-
 def _cholesky(blocks) -> None:
     """Factor M = L L^T in place over its block columns, right-looking: each
     diagonal block becomes the inverse X of its factor, the rows below it
@@ -264,7 +250,7 @@ def _cholesky(blocks) -> None:
     for j, blk in enumerate(blocks):
         w = blk.shape[1]
         try:
-            blk[:w] = _inverse_factor(blk[:w])
+            blk[:w] = np.tril(np.linalg.inv(np.linalg.cholesky(blk[:w])))
         except np.linalg.LinAlgError:
             raise ValueError("thin-plate system is singular") from None
         panel = blk[w:]

@@ -330,12 +330,12 @@ def _repeat_masks(spec: ExperimentSpec, rep: int) -> list[np.ndarray]:
     return [mask_from_draw(rows, cols, n, lambda n: perm[:n]) for n in spec.counts]
 
 
-def _run_mask(spec: ExperimentSpec, nsub_idx: int, truths: np.ndarray, seeds: list, mask: np.ndarray):
-    """Yield the cells of one mask, h after h, by every method, as
-    (h_idx, method, recon, row). Thin-plate factors the mask once."""
-    for h_idx, (truth, seed) in enumerate(zip(truths, seeds)):
+def _run_cells(spec: ExperimentSpec, methods: tuple, nsub_idx: int, mask: np.ndarray, hs: range, truths, seeds):
+    """Yield the cells of one mask, for each h of hs (whose truths and seeds
+    are given), by each of methods: ((h_idx, nsub_idx, method), recon, row)."""
+    for h_idx, truth, seed in zip(hs, truths, seeds):
         samples = subsample(truth, mask)
-        for method in spec.methods:
+        for method in methods:
             section, solve = REGISTRY[method]
             t0 = time.perf_counter()
             recon, info = solve(samples, getattr(spec, section), spec.synthesis.periodic)
@@ -350,12 +350,12 @@ def _run_mask(spec: ExperimentSpec, nsub_idx: int, truths: np.ndarray, seeds: li
                 wall_time_s=wall,
                 iterations=info.get("iterations", 0),
             )
-            yield h_idx, method, recon, row
+            yield (h_idx, nsub_idx, method), recon, row
 
 
-def _mask_task(*args) -> list:
-    """_run_mask as one pool task, its cells collected in the worker."""
-    return list(_run_mask(*args))
+def _cells_task(*args) -> list:
+    """_run_cells as one pool task, its cells collected in the worker."""
+    return list(_run_cells(*args))
 
 
 def _run_repeat(
@@ -363,26 +363,38 @@ def _run_repeat(
 ) -> tuple[list, list]:
     """Run one repeat's cells: (result rows, manifest entries).
 
-    The repeat's truths (one per h) and masks (one per count) are built once;
-    each mask is one pool task, or run serially cell by cell (see _run_mask).
-    Truths and reconstructions are copied into the campaign's ``truths`` and
-    ``recons`` buffers, which every repeat overwrites. With a store, every
-    truth, mask and reconstruction is stored before return.
+    The repeat's truths (one per h) and masks (one per count) are built once.
+    Thin-plate fits on one mask share a factor, so tp runs every h of a mask
+    as one task; the other methods keep nothing across fits and run as one
+    task per (mask, h). Tasks go to the pool, or run serially cell by cell
+    (see _run_cells). Truths and reconstructions are copied into the
+    campaign's ``truths`` and ``recons`` buffers, which every repeat
+    overwrites. With a store, every truth, mask and reconstruction is stored
+    before return.
     """
+    hs = range(len(spec.hurst_values))
     seeds = []
-    for h_idx in range(len(spec.hurst_values)):
+    for h_idx in hs:
         truths[h_idx], seed = _cell_truth(spec, policy, h_idx, rep)
         seeds.append(seed)
     masks = _repeat_masks(spec, rep)
-    k = len(masks)
-    args = ([spec] * k, range(k), [truths] * k, [seeds] * k, masks)  # map takes one iterable per argument
-    tasks = pool.map(_mask_task, *args) if pool is not None else map(_run_mask, *args)
+    others = tuple(m for m in spec.methods if m != "tp")
+    groups = [(others, hs[i : i + 1]) for i in hs] if others else []
+    if "tp" in spec.methods:
+        groups.append((("tp",), hs))
+    tasks = [
+        (spec, methods, nsub_idx, mask, g, truths[g.start : g.stop], seeds[g.start : g.stop])
+        for nsub_idx, mask in enumerate(masks)
+        for methods, g in groups
+    ]
+    args = zip(*tasks)  # map takes one iterable per argument
+    done = pool.map(_cells_task, *args) if pool is not None else map(_run_cells, *args)
     rows, made = [], []
-    for nsub_idx, cells in enumerate(tasks):
-        for h_idx, method, recon, row in cells:
+    for cells in done:
+        for key, recon, row in cells:
             recons[len(rows)] = recon
             rows.append(row)
-            made.append((h_idx, nsub_idx, method))
+            made.append(key)
     if store is None:
         return rows, []
     # each distinct truth and mask is encoded, hashed and stored once

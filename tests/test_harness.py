@@ -476,9 +476,10 @@ class TestCampaign:
         assert len(rows) == 3 * 2 * 2
         assert len(calls) == 2 * 2  # counts x repeats
 
-    def test_pool_gets_one_task_per_mask(self, monkeypatch):
-        # under --jobs each mask is one task that runs every h of it, so the
-        # worker that gets the task factors the mask's thin-plate system once
+    def test_pool_gets_one_tp_task_per_mask(self, monkeypatch):
+        # under --jobs tp runs every h of a mask in one task, so the worker
+        # that gets the task factors the mask's thin-plate system once; the
+        # other methods run one task per (mask, h)
         from cvfbm import baselines
 
         calls, tasks = [], []
@@ -501,10 +502,11 @@ class TestCampaign:
                 return [fn(*a) for a in args]
 
         monkeypatch.setattr(harness_module, "ProcessPoolExecutor", InlinePool)
-        spec = tiny_spec(hurst_values=(0.4, 0.6, 0.8), sample_counts=(30, 60), methods=("tp",))
+        spec = tiny_spec(hurst_values=(0.4, 0.6, 0.8), sample_counts=(30, 60), methods=("box", "tp"))
         key = lambda rows: [(r.method, r.h, r.n_sub, r.seed, r.rmse, r.snr_db) for r in rows]
         assert key(run_table2(spec, jobs=2)) == key(run_table2(spec))
-        assert len(tasks) == 2 * 2  # counts x repeats
+        assert len(tasks) == 2 * 2 * (3 + 1)  # counts x repeats x (one box task per h, one tp task)
+        assert sorted(len(t[4]) for t in tasks) == [1] * 12 + [3] * 4  # hs per task
         assert len(calls) == 2 * (2 * 2)  # both runs factor each mask once
 
     @pytest.mark.parametrize("jobs", [0, -2])
