@@ -92,8 +92,8 @@ def boxcar_reconstruct(samples: SampleSet, cfg: BoxcarConfig = BoxcarConfig()) -
 
 
 # Pairwise arrays over n samples are built a block of rows at a time, each
-# block holding about this many entries (a few MB of buffers at any n).
-_BLOCK_ENTRIES = 2**17
+# block holding about this many entries (under 1 MB of buffers at any n).
+_BLOCK_ENTRIES = 2**15
 
 
 def _block_rows(n: int) -> int:
@@ -323,7 +323,8 @@ def thin_plate_coefficients(samples: SampleSet, cfg: ThinPlateConfig = ThinPlate
     a basis of their null space, fixed by three anchor samples, which leaves
     a symmetric positive-definite system of order n - 3 (see _factor_system),
     filled and Cholesky-factored in place in block columns of its lower
-    triangle: a fresh fit peaks at about half an (n+3)^2 float64 array. One
+    triangle: a fresh fit peaks at about half an (n+3)^2 float64 array, the
+    factor, plus work buffers of about _BLOCK_ENTRIES entries each. One
     block forward and back substitution with two right-hand sides (the real
     and imaginary parts of the values) covers both channels.
 
@@ -356,7 +357,11 @@ def thin_plate_coefficients(samples: SampleSet, cfg: ThinPlateConfig = ThinPlate
 
 
 def thin_plate_reconstruct(samples: SampleSet, cfg: ThinPlateConfig = ThinPlateConfig()) -> np.ndarray:
-    """Evaluate the fitted smoothing spline on the full grid."""
+    """Evaluate the fitted smoothing spline on the full grid.
+
+    Beside the factor that thin_plate_coefficients keeps, the evaluation
+    holds two 2*rows x 2*cols complex arrays, transformed in place.
+    """
     c, d, _ = thin_plate_coefficients(samples, cfg)
     rows, cols = samples.rows, samples.cols
     # Samples sit on grid points, so sum_j c_j phi(x - x_j) is the linear
@@ -366,13 +371,16 @@ def thin_plate_reconstruct(samples: SampleSet, cfg: ThinPlateConfig = ThinPlateC
     # of the zero-padded image with the table wrapped to negative offsets
     # (index 2*rows - k holds offset -k) equals that linear one, so one FFT
     # product evaluates the whole grid.
-    kernel = np.zeros((2 * rows, 2 * cols))
+    kernel = np.zeros((2 * rows, 2 * cols), dtype=np.complex128)
     table = _phi_table(rows, cols)
     kernel[:rows, :cols] = table
     kernel[rows + 1 :, :cols] = table[:0:-1]
     kernel[:, cols + 1 :] = kernel[:, cols - 1 : 0 : -1]
-    coef_img = np.zeros((2 * rows, 2 * cols), dtype=np.complex128)
-    coef_img[samples.positions[:, 0], samples.positions[:, 1]] = c
-    conv = np.fft.ifft2(np.fft.fft2(coef_img) * np.fft.fft2(kernel))
+    conv = np.zeros((2 * rows, 2 * cols), dtype=np.complex128)
+    conv[samples.positions[:, 0], samples.positions[:, 1]] = c
+    np.fft.fft2(conv, out=conv)
+    conv *= np.fft.fft2(kernel, out=kernel)
+    del kernel
+    np.fft.ifftn(conv, out=conv)  # not ifft2, which ignores out (numpy 2.4)
     gr, gc = np.mgrid[0:rows, 0:cols]
     return conv[:rows, :cols] + (d[0] + d[1] * gr + d[2] * gc)

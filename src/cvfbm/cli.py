@@ -71,8 +71,8 @@ def _cmd_synth(args) -> int:
         field = normalize_dynamic_range(field, args.target_rms)
     write_cvf1(args.out, field)
     if args.pgm is not None:
-        write_pgm(args.pgm.with_suffix(".re.pgm"), field.real)
-        write_pgm(args.pgm.with_suffix(".im.pgm"), field.imag)
+        write_pgm(f"{args.pgm}.re.pgm", field.real)
+        write_pgm(f"{args.pgm}.im.pgm", field.imag)
     # null where the grid is too small for the slope fit
     slope = radial_spectrum_slope(field) if min(field.shape) >= MIN_SLOPE_GRID else None
     _emit(
@@ -217,7 +217,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--target-rms", type=float, default=None)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--pgm", type=Path, default=None, help="also write re/im PGM previews here")
+    p.add_argument(
+        "--pgm",
+        type=Path,
+        default=None,
+        metavar="PREFIX",
+        help="also write PREFIX.re.pgm and PREFIX.im.pgm previews",
+    )
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("sample", help="draw a uniform random subsample from a field")

@@ -359,7 +359,7 @@ def _cells_task(*args) -> list:
 
 
 def _run_repeat(
-    spec: ExperimentSpec, policy: str, rep: int, pool, store, truths: np.ndarray, recons: np.ndarray
+    spec: ExperimentSpec, policy: str, rep: int, pool, store, truths: np.ndarray, recons: np.ndarray | None
 ) -> tuple[list, list]:
     """Run one repeat's cells: (result rows, manifest entries).
 
@@ -367,10 +367,11 @@ def _run_repeat(
     Thin-plate fits on one mask share a factor, so tp runs every h of a mask
     as one task; the other methods keep nothing across fits and run as one
     task per (mask, h). Tasks go to the pool, or run serially cell by cell
-    (see _run_cells). Truths and reconstructions are copied into the
-    campaign's ``truths`` and ``recons`` buffers, which every repeat
-    overwrites. With a store, every truth, mask and reconstruction is stored
-    before return.
+    (see _run_cells). Truths are copied into the campaign's ``truths``
+    buffer, which every repeat overwrites. With a store, reconstructions are
+    copied into its ``recons`` buffer likewise (without one, nothing reads
+    them and recons is None), and every truth, mask and reconstruction is
+    stored before return.
     """
     hs = range(len(spec.hurst_values))
     seeds = []
@@ -392,7 +393,8 @@ def _run_repeat(
     rows, made = [], []
     for cells in done:
         for key, recon, row in cells:
-            recons[len(rows)] = recon
+            if recons is not None:
+                recons[len(rows)] = recon
             rows.append(row)
             made.append(key)
     if store is None:
@@ -425,14 +427,17 @@ def _run_campaign(spec: ExperimentSpec, policy: str, out_dir=None, jobs: int = 1
     # has run; the blobs of the repeats before a failure stay in the store.
     # Each repeat's fields go into the same two buffers: fields freed at every
     # repeat's end would be trimmed from the heap and faulted back in by the
-    # next, at a cost that shifts with the heap's layout from run to run
+    # next, at a cost that shifts with the heap's layout from run to run. Only
+    # the store reads reconstructions, so without one they are not kept
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     store = _ArtifactStore(out_dir) if out_dir is not None else None
     rows, manifest = [], []
     nh = len(spec.hurst_values)
     truths = np.empty((nh, *spec.grid), dtype=np.complex128)
-    recons = np.empty((nh * len(spec.counts) * len(spec.methods), *spec.grid), dtype=np.complex128)
+    recons = None
+    if store is not None:
+        recons = np.empty((nh * len(spec.counts) * len(spec.methods), *spec.grid), dtype=np.complex128)
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         try:
             for rep in range(spec.repeats):

@@ -395,9 +395,9 @@ class TestThinPlateFastPaths:
         pos = np.stack([rr.ravel(), cc.ravel()], axis=1)
         assert default_smoothing_p(pos) == brute_force_smoothing_p(pos)
 
-    # With the shipped block size 2**17 entries, a block holds 100 rows at
-    # n = 1299..1301 and more than n rows at n = 300.
-    @pytest.mark.parametrize("n, rows_left", [(1299, 99), (1300, 0), (1301, 1), (300, 300)])
+    # With the shipped block size 2**15 entries, a block holds 25 rows at
+    # n = 1299..1301 and more than n rows at n = 150.
+    @pytest.mark.parametrize("n, rows_left", [(1299, 24), (1300, 0), (1301, 1), (150, 150)])
     def test_blocked_builds_equal_full_matrix(self, n, rows_left):
         assert n % baselines._block_rows(n) == rows_left
         s = make_samples(100, 100, random_mask(100, 100, n, seed=n), np.ones(n))
@@ -413,7 +413,7 @@ class TestThinPlateFastPaths:
     def test_fit_peak_memory_is_about_one_system(self):
         n = 2000
         s = subsample(synthesize_cvfbm(0.8, 100, 100, 3), random_mask(100, 100, n, seed=4))
-        # a small fit first, so the scipy import is not counted
+        # a small fit first, so one-time setup on a first fit is not counted
         thin_plate_coefficients(subsample(synthesize_cvfbm(0.8, 16, 16, 1), random_mask(16, 16, 40, seed=1)))
         baselines.clear_system_memo()
         started = not tracemalloc.is_tracing()
@@ -433,7 +433,7 @@ class TestThinPlateFastPaths:
         # the reduced system is packed in m(m+1)/2 floats, m = n - 3
         n = 2000
         s = subsample(synthesize_cvfbm(0.8, 100, 100, 3), random_mask(100, 100, n, seed=4))
-        # a small fit first, so the scipy import is not counted
+        # a small fit first, so one-time setup on a first fit is not counted
         thin_plate_coefficients(subsample(synthesize_cvfbm(0.8, 16, 16, 1), random_mask(16, 16, 40, seed=1)))
         baselines.clear_system_memo()
         started = not tracemalloc.is_tracing()
@@ -471,6 +471,30 @@ class TestThinPlateFastPaths:
                 tracemalloc.stop()
             baselines.clear_system_memo()
         assert peak <= 0.25 * 8 * (n + 3) ** 2
+
+    def test_reconstruct_peak_memory_is_about_one_factor(self):
+        # a fresh fit's work buffers and the in-place FFT evaluation each stay
+        # under three 2*rows x 2*cols complex arrays beside the held factor
+        n, rows, cols = 2000, 100, 100
+        s = subsample(synthesize_cvfbm(0.8, rows, cols, 3), random_mask(rows, cols, n, seed=4))
+        thin_plate_reconstruct(subsample(synthesize_cvfbm(0.8, 16, 16, 1), random_mask(16, 16, 40, seed=1)))
+        baselines.clear_system_memo()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            thin_plate_reconstruct(s)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            factor = baselines._SYSTEM_BUFFER.nbytes
+        finally:
+            if started:
+                tracemalloc.stop()
+            baselines.clear_system_memo()
+        grid = np.dtype(np.complex128).itemsize * (2 * rows) * (2 * cols)
+        assert factor >= 8 * (n - 3) * (n - 2) // 2
+        assert peak <= factor + 3 * grid
 
     def test_import_does_not_load_scipy_spatial(self, tmp_path):
         src = str(Path(cvfbm.__file__).resolve().parents[1])

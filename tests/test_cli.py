@@ -134,6 +134,23 @@ class TestSynth:
             assert len(img) == len(header) + 20 * 30
         assert re_img != im_img
 
+    def test_pgm_prefixes_with_dots_keep_their_full_names(self, capsys, tmp_path):
+        for h in ("0.8", "0.5"):
+            code, _, _ = run_cli(
+                capsys,
+                "synth", "--h", h, "--rows", "20", "--cols", "30",
+                "--out", str(tmp_path / f"h{h}.cvf"), "--pgm", str(tmp_path / f"h{h}"),
+            )
+            assert code == 0
+        names = ["h0.8.re.pgm", "h0.8.im.pgm", "h0.5.re.pgm", "h0.5.im.pgm"]
+        assert sorted(p.name for p in tmp_path.glob("*.pgm")) == sorted(names)
+        images = [(tmp_path / name).read_bytes() for name in names]
+        header = b"P5\n30 20\n255\n"
+        for img in images:
+            assert img.startswith(header)
+            assert len(img) == len(header) + 20 * 30
+        assert len(set(images)) == 4
+
     def test_grid_below_slope_minimum_reports_null_slope(self, capsys, tmp_path):
         out = tmp_path / "small.cvf"
         code, stdout, _ = run_cli(

@@ -683,6 +683,34 @@ class TestRepeatAtATime:
         # all fields at once would be 3.4x the 2-repeat peak at 8 repeats
         assert peak(8, "eight") <= 1.25 * peak(2, "two")
 
+    def test_campaign_without_out_dir_keeps_no_reconstructions(self, tmp_path):
+        # only the store reads reconstructions, so without an out-dir the
+        # campaign copies none into a buffer of all of a repeat's cells
+        spec = table2_spec(
+            grid=(48, 48),
+            hurst_values=(0.5, 0.7, 0.9),
+            sample_counts=(100, 200, 400),
+            methods=("box",),
+            repeats=2,
+        )
+
+        def peak(out_dir):
+            started = not tracemalloc.is_tracing()
+            if started:
+                tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                run_table2(spec, out_dir=out_dir)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                if started:
+                    tracemalloc.stop()
+
+        peak(tmp_path / "warm")
+        buffer = 3 * 3 * 48 * 48 * np.dtype(np.complex128).itemsize  # h x counts x methods fields
+        assert peak(None) <= peak(tmp_path / "stored") - buffer
+
     def test_failed_campaign_keeps_only_finished_repeats(self, tmp_path, monkeypatch):
         spec = tiny_spec(hurst_values=(0.5, 0.8), sample_counts=(30, 60), methods=("box",), repeats=3)
         box = harness_module.boxcar_reconstruct
