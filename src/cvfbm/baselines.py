@@ -105,13 +105,10 @@ class ThinPlateConfig:
     # p = 1 interpolates; smaller p trades fit error for surface smoothness.
     # None picks 1 / (1 + h^3/6) from the mean nearest-neighbor spacing h.
     p: float | None = None
-    epsilon: float = 0.0
 
     def __post_init__(self):
         if self.p is not None and not 0.0 < self.p <= 1.0:
             raise ValueError("p must lie in (0, 1]")
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ValueError("epsilon must be non-negative and finite")
 
 
 def default_smoothing_p(positions: np.ndarray) -> float:
@@ -280,7 +277,7 @@ def _cholesky_solve(blocks, b: np.ndarray) -> None:
 def _factor_system(samples: SampleSet, cfg: ThinPlateConfig):
     """Check the positions, pick p and factor the reduced spline system.
 
-    Let A = K + (rho + epsilon)*I, a the three anchors (the last three
+    Let A = K + rho*I with rho = (1-p)/p, a the three anchors (the last three
     samples of order) and r the other m = n - 3. Every c with P^T c = 0 is
     c = Z c_r with Z = [I; null] and null = -P_a^-T P_r^T, and Z^T P = 0,
     so Z^T A Z c_r = Z^T values. Its matrix
@@ -294,7 +291,7 @@ def _factor_system(samples: SampleSet, cfg: ThinPlateConfig):
     m = n - 3
     anchors = _anchors(samples.positions)
     p = cfg.p if cfg.p is not None else default_smoothing_p(samples.positions)
-    diag = (1.0 - p) / p + cfg.epsilon
+    diag = (1.0 - p) / p
     order = np.concatenate([np.delete(np.arange(n), anchors), anchors])
     row, col = samples.positions[order].astype(np.intp).T
     poly = np.stack([np.ones(n), row, col], axis=1)
@@ -329,7 +326,7 @@ def thin_plate_coefficients(samples: SampleSet, cfg: ThinPlateConfig = ThinPlate
     and imaginary parts of the values) covers both channels.
 
     The factor of the last system is kept, keyed by grid, positions (in
-    order), p and epsilon, so a fit on the same positions runs only the
+    order) and p, so a fit on the same positions runs only the
     solve; a hit and a miss take the same solve and give the same bits. It
     stays until clear_system_memo() (which also frees its memory) or the
     next fit on other positions, which builds its system in that memory.
@@ -337,7 +334,7 @@ def thin_plate_coefficients(samples: SampleSet, cfg: ThinPlateConfig = ThinPlate
     n = len(samples)
     if n < 3:
         raise ValueError("thin-plate fit needs at least 3 samples")
-    key = (samples.rows, samples.cols, samples.positions.tobytes(), cfg.p, cfg.epsilon)
+    key = (samples.rows, samples.cols, samples.positions.tobytes(), cfg.p)
     if key not in _SYSTEM_MEMO:
         _SYSTEM_MEMO.clear()  # never hold two systems at once
         _SYSTEM_MEMO[key] = _factor_system(samples, cfg)

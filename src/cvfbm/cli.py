@@ -249,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=None, help="boxcar window side")
     p.add_argument("--range-adjust", choices=("affine", "none"), default=None)
     p.add_argument("--p", type=float, default=None, help="thin-plate smoothing weight in (0, 1]")
-    p.add_argument("--epsilon", type=float, default=None, help="thin-plate ridge term")
     p.add_argument("--lambda", dest="lam", type=float, default=None, help="TV weight")
     p.add_argument("--max-iters", type=int, default=None, help="iteration cap (default: the method's own)")
     p.add_argument("--tol", type=float, default=None)

@@ -40,13 +40,7 @@ __all__ = [
     "TwistConfig",
     "twist_reconstruct",
     "compressibility_diagnostics",
-    "AUTO_LAMBDA_FACTOR",
 ]
-
-# lambda = AUTO_LAMBDA_FACTOR * ||A^H y||_inf when no explicit weight is given.
-# Calibrated on 100x100 benchmark fields; small enough to stay close to the
-# equality-constrained solution, large enough to regularize 5-20% sampling.
-AUTO_LAMBDA_FACTOR = 1.5e-3
 
 
 def _flat_view(a: np.ndarray) -> np.ndarray:
@@ -168,17 +162,10 @@ def tv_denoise(field, weight: float, iters: int = 30, return_gap: bool = False):
 @dataclass(frozen=True)
 class EqualitySolverConfig:
     max_iters: int = 600
-    primal_tol: float = 1e-9
-    dual_tol: float = 1e-9
-    penalty: float = 1.0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        positive = {"primal_tol": self.primal_tol, "dual_tol": self.dual_tol, "penalty": self.penalty}
-        for name, value in positive.items():
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite")
 
 
 def _soft(x: np.ndarray, t: float) -> np.ndarray:
@@ -218,33 +205,44 @@ def _finish_equality(
     return idft2(e), info
 
 
+# basis pursuit stops once its primal residual ||E - Z|| and dual residual
+# ||Z - Z_prev|| both fall below this fraction of ||Z||
+_BP_TOL = 1e-9
+
+
 def bp_reconstruct(samples: SampleSet, cfg: EqualitySolverConfig = EqualitySolverConfig()):
     """Basis pursuit: min sum|E_k| subject to the samples, returns idft2(E).
 
-    ADMM with the splitting E = Z: the E update projects exactly onto the
-    constraint set (A A^H = I), the Z update soft-thresholds the complex
-    magnitudes. Any grid size is solved; ``cfg.max_iters`` bounds the work.
+    ADMM with the splitting E = Z and penalty 1: the E update projects
+    exactly onto the constraint set (A A^H = I), the Z update soft-thresholds
+    the complex magnitudes by 1. Any grid size is solved; ``cfg.max_iters``
+    bounds the work.
     """
     op = _operator_for(samples)
     y = samples.values
-    rho = cfg.penalty
     z = op.adjoint(y)
     u = np.zeros_like(z)
     iterations = cfg.max_iters
     converged = False
     for it in range(cfg.max_iters):
         e = _project(op, y, z - u)
-        z_new = _soft(e + u, 1.0 / rho)
+        z_new = _soft(e + u, 1.0)
         u = u + e - z_new
         primal = np.linalg.norm(e - z_new)
-        dual = rho * np.linalg.norm(z_new - z)
+        dual = np.linalg.norm(z_new - z)
         z = z_new
         scale = max(np.linalg.norm(z), 1e-30)
-        if primal <= cfg.primal_tol * scale and dual <= cfg.dual_tol * scale:
+        if primal <= _BP_TOL * scale and dual <= _BP_TOL * scale:
             iterations = it + 1
             converged = True
             break
     return _finish_equality(op, y, z, iterations, converged, lambda e: float(np.sum(np.abs(e))))
+
+
+# cs-tv's steps tau = sigma, and its stop: at a 25-iteration check, the
+# relative constraint residual and the step relative to ||E|| both below _TV_TOL
+_TV_STEP = 1.0 / 3.0
+_TV_TOL = 1e-9
 
 
 def tv_equality_reconstruct(
@@ -256,10 +254,10 @@ def tv_equality_reconstruct(
     Primal-dual splitting over the stacked operator [grad; A]: the gradient
     dual is clipped to the unit complex-magnitude ball, the data dual
     accumulates constraint violations (a running penalty on the equality
-    constraints), and steps tau = penalty/3 and sigma = 1/(3*penalty), whose
-    product 1/9 respects the operator norm bound ||[grad; A]||^2 <= 9. A final
-    exact projection lands the iterate on the constraint set, so the reported
-    residual is at rounding level.
+    constraints), and steps tau = sigma = 1/3, whose product 1/9 respects the
+    operator norm bound ||[grad; A]||^2 <= 9. A final exact projection lands
+    the iterate on the constraint set, so the reported residual is at
+    rounding level.
 
     The loop runs in buffers allocated once per solve and applies A and A^H
     without input checks. A NaN or Inf iterate is caught at each 25-iteration
@@ -269,16 +267,14 @@ def tv_equality_reconstruct(
     y = samples.values
     y_norm = max(np.linalg.norm(y), 1e-30)
 
-    tau = cfg.penalty / 3.0
-    sigma = 1.0 / (3.0 * cfg.penalty)
     e = op.adjoint(y)
     e_bar = e.copy()
     p = np.zeros((2,) + e.shape, dtype=np.complex128)
     q = np.zeros(len(y), dtype=np.complex128)
     # buffers for the whole solve; each update below gives the same values as
-    #   p = p + sigma*grad(e_bar); p = p / max(1, |p|)
-    #   q = q + sigma*(A e_bar - y)
-    #   e_new = e - tau*(-div(p) + A^H q); e_bar = 2*e_new - e
+    #   p = p + step*grad(e_bar); p = p / max(1, |p|)
+    #   q = q + step*(A e_bar - y)
+    #   e_new = e - step*(-div(p) + A^H q); e_bar = 2*e_new - e
     # with the clip as a multiply by the real reciprocal (see tv_denoise).
     # The loop applies A and A^H unchecked. A NaN or Inf anywhere reaches
     # the iterate and stays there, so the checked forward(e) at each
@@ -292,28 +288,43 @@ def tv_equality_reconstruct(
     iterations = cfg.max_iters
     converged = False
     for it in range(cfg.max_iters):
-        np.multiply(sigma, _grad(e_bar, out=g), out=g)
+        np.multiply(_TV_STEP, _grad(e_bar, out=g), out=g)
         p += g
         np.maximum(1.0, _magnitude(p, mag, sq), out=mag)
         np.divide(1.0, mag, out=mag)
         p *= mag
         r = op._forward(e_bar)
         r -= y
-        q += np.multiply(sigma, r, out=r)
+        q += np.multiply(_TV_STEP, r, out=r)
         np.negative(_div(p, out=d, work=work), out=d)
         d += op._adjoint(q)
-        np.subtract(e, np.multiply(tau, d, out=d), out=e_new)
+        np.subtract(e, np.multiply(_TV_STEP, d, out=d), out=e_new)
         np.multiply(2.0, e_new, out=e_bar)
         e_bar -= e
         e, e_new = e_new, e  # e_new now holds the previous iterate
         if it % 25 == 24:
             primal = np.linalg.norm(op.forward(e) - y) / y_norm
             step = np.linalg.norm(np.subtract(e, e_new, out=d))
-            if primal <= cfg.primal_tol and step <= cfg.dual_tol * max(np.linalg.norm(e), 1e-30):
+            if primal <= _TV_TOL and step <= _TV_TOL * max(np.linalg.norm(e), 1e-30):
                 iterations = it + 1
                 converged = True
                 break
     return _finish_equality(op, y, e, iterations, converged, tv)
+
+
+# lambda = AUTO_LAMBDA_FACTOR * ||A^H y||_inf when no explicit weight is given.
+# Calibrated on 100x100 benchmark fields; small enough to stay close to the
+# equality-constrained solution, large enough to regularize 5-20% sampling.
+AUTO_LAMBDA_FACTOR = 1.5e-3
+
+# TwIST's two-step weights by the spectral-bound rule (Bioucas-Dias &
+# Figueiredo 2007). With the unitary DFT and row selection the singular
+# values of A lie in {0, 1}; unobserved modes are treated as having a floor
+# of kappa = 1e-3, giving rho = (1-kappa)/(1+kappa),
+# alpha = 2/(1+sqrt(1-rho^2)) and beta = 2*alpha/(1+kappa).
+_KAPPA = 1e-3
+_ALPHA = 2.0 / (1.0 + np.sqrt(1.0 - ((1.0 - _KAPPA) / (1.0 + _KAPPA)) ** 2))
+_BETA = _ALPHA * 2.0 / (_KAPPA + 1.0)
 
 
 @dataclass(frozen=True)
@@ -322,9 +333,6 @@ class TwistConfig:
     lam: float | None = None
     max_iters: int = 500
     tol: float = 1e-6
-    alpha: float | str = "auto"
-    beta: float | str = "auto"
-    monotone: bool = True
     tv_inner_iters: int = 10
 
     def __post_init__(self):
@@ -336,27 +344,6 @@ class TwistConfig:
             raise ValueError("max_iters must be positive")
         if self.tv_inner_iters < 1:
             raise ValueError("tv_inner_iters must be at least 1")
-        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
-            if isinstance(value, str):
-                if value != "auto":
-                    raise ValueError(f"{name} must be a number or 'auto', got {value!r}")
-            elif not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-def _twist_weights(cfg: TwistConfig) -> tuple[float, float]:
-    """Two-step weights from the spectral-bound rule.
-
-    With the unitary DFT and row selection the singular values of A lie in
-    {0, 1}; unobserved modes are treated as having a floor of kappa = 1e-3,
-    giving rho = (1-kappa)/(1+kappa), alpha = 2/(1+sqrt(1-rho^2)) and
-    beta = 2*alpha/(1+kappa).
-    """
-    kappa = 1e-3
-    rho = (1.0 - kappa) / (1.0 + kappa)
-    alpha = 2.0 / (1.0 + np.sqrt(1.0 - rho**2)) if cfg.alpha == "auto" else float(cfg.alpha)
-    beta = alpha * 2.0 / (kappa + 1.0) if cfg.beta == "auto" else float(cfg.beta)
-    return alpha, beta
 
 
 def twist_reconstruct(
@@ -372,10 +359,10 @@ def twist_reconstruct(
     runs on their own M x N grid. Otherwise they are mirror-extended to a
     2M x 2N grid, which does wrap, and the top-left quadrant is returned.
     Each step applies the TV proximal map to a gradient step on the data
-    term, then combines the last two iterates with the two-step weights. In
-    monotone mode a step that would increase the objective is replaced by the
-    plain shrinkage step (alpha = beta = 1); if that still increases the
-    objective the iteration stops.
+    term, then combines the last two iterates with the two-step weights
+    _ALPHA and _BETA. The objective never increases: a step that would
+    increase it is replaced by the plain shrinkage step (alpha = beta = 1),
+    and if that still increases it the iteration stops.
     """
     solved = samples if periodic else mirror_extend_samples(samples)
     op = _operator_for(solved)
@@ -383,7 +370,6 @@ def twist_reconstruct(
 
     x_old = op.adjoint(y)
     lam = cfg.lam if cfg.lam is not None else AUTO_LAMBDA_FACTOR * float(np.abs(x_old).max())
-    alpha, beta = _twist_weights(cfg)
 
     # every iterate carries its data residual r = y - A x, computed once and
     # shared by its objective, the shrinkage step taken from it and the
@@ -412,10 +398,10 @@ def twist_reconstruct(
     # the first shrinkage step above spent one unit of the budget
     for it in range(cfg.max_iters - 1):
         g = gamma(x, r)
-        x_new = (1.0 - alpha) * x_old + (alpha - beta) * x + beta * g
+        x_new = (1.0 - _ALPHA) * x_old + (_ALPHA - _BETA) * x + _BETA * g
         r_new = residual(x_new)
         f_new = objective(x_new, r_new)
-        if cfg.monotone and f_new > objectives[-1]:
+        if f_new > objectives[-1]:
             x_new = g
             r_new = residual(x_new)
             f_new = objective(x_new, r_new)

@@ -330,9 +330,25 @@ def _repeat_masks(spec: ExperimentSpec, rep: int) -> list[np.ndarray]:
     return [mask_from_draw(rows, cols, n, lambda n: perm[:n]) for n in spec.counts]
 
 
-def _run_cells(spec: ExperimentSpec, methods: tuple, nsub_idx: int, mask: np.ndarray, hs: range, truths, seeds):
+def _task_groups(spec: ExperimentSpec) -> list[tuple[tuple[str, ...], range]]:
+    """The (methods, hs) of each task that a repeat runs on each of its masks.
+
+    Thin-plate fits on one mask share a factor, so tp runs every h of a mask
+    as one task; the other methods keep nothing across fits and run as one
+    task per (mask, h).
+    """
+    hs = range(len(spec.hurst_values))
+    others = tuple(m for m in spec.methods if m != "tp")
+    groups = [(others, hs[i : i + 1]) for i in hs] if others else []
+    if "tp" in spec.methods:
+        groups.append((("tp",), hs))
+    return groups
+
+
+def _run_cells(spec: ExperimentSpec, methods: tuple, nsub_idx: int, mask, hs: range, truths, seeds, keep: bool):
     """Yield the cells of one mask, for each h of hs (whose truths and seeds
-    are given), by each of methods: ((h_idx, nsub_idx, method), recon, row)."""
+    are given), by each of methods: ((h_idx, nsub_idx, method), recon, row),
+    with recon None unless ``keep`` (a pool task then returns no field)."""
     for h_idx, truth, seed in zip(hs, truths, seeds):
         samples = subsample(truth, mask)
         for method in methods:
@@ -350,7 +366,7 @@ def _run_cells(spec: ExperimentSpec, methods: tuple, nsub_idx: int, mask: np.nda
                 wall_time_s=wall,
                 iterations=info.get("iterations", 0),
             )
-            yield (h_idx, nsub_idx, method), recon, row
+            yield (h_idx, nsub_idx, method), recon if keep else None, row
 
 
 def _cells_task(*args) -> list:
@@ -364,14 +380,12 @@ def _run_repeat(
     """Run one repeat's cells: (result rows, manifest entries).
 
     The repeat's truths (one per h) and masks (one per count) are built once.
-    Thin-plate fits on one mask share a factor, so tp runs every h of a mask
-    as one task; the other methods keep nothing across fits and run as one
-    task per (mask, h). Tasks go to the pool, or run serially cell by cell
-    (see _run_cells). Truths are copied into the campaign's ``truths``
-    buffer, which every repeat overwrites. With a store, reconstructions are
-    copied into its ``recons`` buffer likewise (without one, nothing reads
-    them and recons is None), and every truth, mask and reconstruction is
-    stored before return.
+    Each mask runs one task per group of _task_groups. Tasks go to the pool,
+    or run serially cell by cell (see _run_cells). Truths are copied into the
+    campaign's ``truths`` buffer, which every repeat overwrites. With a store,
+    reconstructions are copied into its ``recons`` buffer likewise (without
+    one, nothing reads them, recons is None and the tasks drop them), and
+    every truth, mask and reconstruction is stored before return.
     """
     hs = range(len(spec.hurst_values))
     seeds = []
@@ -379,14 +393,11 @@ def _run_repeat(
         truths[h_idx], seed = _cell_truth(spec, policy, h_idx, rep)
         seeds.append(seed)
     masks = _repeat_masks(spec, rep)
-    others = tuple(m for m in spec.methods if m != "tp")
-    groups = [(others, hs[i : i + 1]) for i in hs] if others else []
-    if "tp" in spec.methods:
-        groups.append((("tp",), hs))
+    keep = store is not None
     tasks = [
-        (spec, methods, nsub_idx, mask, g, truths[g.start : g.stop], seeds[g.start : g.stop])
+        (spec, methods, nsub_idx, mask, g, truths[g.start : g.stop], seeds[g.start : g.stop], keep)
         for nsub_idx, mask in enumerate(masks)
-        for methods, g in groups
+        for methods, g in _task_groups(spec)
     ]
     args = zip(*tasks)  # map takes one iterable per argument
     done = pool.map(_cells_task, *args) if pool is not None else map(_run_cells, *args)
@@ -423,8 +434,9 @@ def _run_campaign(spec: ExperimentSpec, policy: str, out_dir=None, jobs: int = 1
     # the campaign runs one repeat at a time and keeps only result rows and
     # manifest entries across repeats, so its peak holds one repeat's fields
     # whatever the number of repeats. Under --jobs one pool serves every
-    # repeat. manifest.json is written, and audited, only once every repeat
-    # has run; the blobs of the repeats before a failure stay in the store.
+    # repeat, with no more workers than a repeat has tasks (serial for one).
+    # manifest.json is written, and audited, only once every repeat has run;
+    # the blobs of the repeats before a failure stay in the store.
     # Each repeat's fields go into the same two buffers: fields freed at every
     # repeat's end would be trimmed from the heap and faulted back in by the
     # next, at a cost that shifts with the heap's layout from run to run. Only
@@ -438,7 +450,8 @@ def _run_campaign(spec: ExperimentSpec, policy: str, out_dir=None, jobs: int = 1
     recons = None
     if store is not None:
         recons = np.empty((nh * len(spec.counts) * len(spec.methods), *spec.grid), dtype=np.complex128)
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    workers = min(jobs, len(spec.counts) * len(_task_groups(spec)))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         try:
             for rep in range(spec.repeats):
                 rep_rows, entries = _run_repeat(spec, policy, rep, pool, store, truths, recons)

@@ -360,8 +360,17 @@ class TestSampleAndRecon:
         args = build_parser().parse_args(
             ["recon", "--samples", "s.csv", "--rows", "4", "--cols", "4", "--method", "box", "--out", "r.cvf"]
         )
-        for name in ("window", "range_adjust", "p", "epsilon", "lam", "max_iters", "tol"):
+        for name in ("window", "range_adjust", "p", "lam", "max_iters", "tol"):
             assert getattr(args, name) is None, name
+
+    def test_retired_epsilon_flag_exits_2(self, capsys, tmp_path):
+        # thin-plate smoothing is set by --p alone
+        with pytest.raises(SystemExit) as info:
+            main(["recon", "--samples", str(tmp_path / "s.csv"), "--rows", "4", "--cols", "4",
+                  "--method", "tp", "--epsilon", "0.1", "--out", str(tmp_path / "r.cvf")])
+        assert info.value.code == 2
+        assert "--epsilon" in capsys.readouterr().err
+        assert not (tmp_path / "r.cvf").exists()
 
     @pytest.mark.parametrize("method", harness.METHODS)
     def test_nan_sample_rejected_up_front(self, capfd, tmp_path, method):
@@ -508,14 +517,14 @@ class TestBench:
             ("hurst_values", [0.5, "0.7"], "hurst_values"),
             ("methods", "box", "methods"),
             ("sample_counts", [30.0], "sample_counts"),
-            ("twist", {"monotone": "false"}, "twist.monotone"),
+            ("synthesis", {"periodic": "false"}, "synthesis.periodic"),
             ("synthesis", {"periodic": "no"}, "synthesis.periodic"),
             ("twist", {"max_iters": 5.5}, "twist.max_iters"),
             ("equality", {"max_iters": True}, "equality.max_iters"),
             ("boxcar", {"range_adjust": 1}, "boxcar.range_adjust"),
             ("thin_plate", {"p": "0.5"}, "thin_plate.p"),
             ("twist", {"lambda": "0.25"}, "twist.lambda"),
-            ("twist", {"alpha": False}, "twist.alpha"),
+            ("twist", {"lambda": False}, "twist.lambda"),
         ],
     )
     def test_spec_value_of_wrong_type_exits_1(self, capsys, tmp_path, key, value, named):
@@ -529,15 +538,15 @@ class TestBench:
         assert len(err.strip().splitlines()) == 1
         assert named in json.loads(err)["error"]
 
-    def test_nan_epsilon_spec_exits_1(self, capsys, tmp_path):
-        spec = {"grid": [12, 12], "hurst_values": [0.5], "sample_counts": [30], "methods": ["tp"], "repeats": 1}
+    def test_nan_lambda_spec_exits_1(self, capsys, tmp_path):
+        spec = {"grid": [12, 12], "hurst_values": [0.5], "sample_counts": [30], "methods": ["cs-twist"], "repeats": 1}
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps({**spec, "thin_plate": {"epsilon": float("nan")}}))
+        spec_path.write_text(json.dumps({**spec, "twist": {"lambda": float("nan")}}))
         out_dir = tmp_path / "b"
         code, _, err = run_cli(capsys, "bench", "table2", "--out-dir", str(out_dir), "--spec", str(spec_path))
         assert code == 1
         assert len(err.strip().splitlines()) == 1
-        assert json.loads(err)["error"] == "epsilon must be non-negative and finite"
+        assert json.loads(err)["error"] == "lambda must be positive and finite"
         assert not out_dir.exists()
 
     def test_runs_as_python_module(self, tmp_path):

@@ -1,6 +1,8 @@
 import json
+import pickle
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from cvfbm.harness import (
     _ArtifactStore,
     _audit_rows,
     _cell_truth,
+    _cells_task,
     _repeat_masks,
 )
 
@@ -50,6 +53,31 @@ def tiny_spec(**overrides):
     )
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace ProcessPoolExecutor by a stub that runs each task here and
+    starts no process; returns (max_workers of each pool, task arguments)."""
+    workers, tasks = [], []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            args = list(zip(*iterables))
+            tasks.extend(args)
+            return [fn(*a) for a in args]
+
+    monkeypatch.setattr(harness_module, "ProcessPoolExecutor", InlinePool)
+    return workers, tasks
 
 
 class TestDeriveSeed:
@@ -198,9 +226,9 @@ class TestDefaultSpecs:
 NON_DEFAULT_SECTIONS = dict(
     synthesis=SynthesisOptions(envelope="power", periodic=False),
     boxcar=BoxcarConfig(window=5, range_adjust="none"),
-    thin_plate=ThinPlateConfig(p=0.5, epsilon=1e-3),
-    twist=TwistConfig(lam=0.25, alpha=1.5),
-    equality=EqualitySolverConfig(penalty=2.0),
+    thin_plate=ThinPlateConfig(p=0.5),
+    twist=TwistConfig(lam=0.25, tv_inner_iters=5),
+    equality=EqualitySolverConfig(max_iters=50),
 )
 
 
@@ -230,6 +258,15 @@ class TestSpecJson:
             ("thin_plate", "knots"),
             ("twist", "momentum"),
             ("equality", "rho"),
+            # settings that no longer exist: a spec.json that names one
+            # fails here rather than running a different solve
+            ("thin_plate", "epsilon"),
+            ("twist", "alpha"),
+            ("twist", "beta"),
+            ("twist", "monotone"),
+            ("equality", "penalty"),
+            ("equality", "primal_tol"),
+            ("equality", "dual_tol"),
         ],
     )
     def test_unknown_nested_key(self, section, key):
@@ -253,10 +290,10 @@ class TestSpecJson:
         with pytest.raises(ValueError, match="target_rms must be positive and finite"):
             spec_from_json(text)
 
-    def test_nan_epsilon_rejected(self):
-        text = json.dumps({**SMALL_SPEC, "thin_plate": {"epsilon": float("nan")}})
+    def test_nan_lambda_rejected(self):
+        text = json.dumps({**SMALL_SPEC, "twist": {"lambda": float("nan")}})
         assert "NaN" in text
-        with pytest.raises(ValueError, match="epsilon must be non-negative and finite"):
+        with pytest.raises(ValueError, match="lambda must be positive and finite"):
             spec_from_json(text)
 
     def test_empty_object_rejected(self):
@@ -286,8 +323,8 @@ class TestSpecJson:
                 {
                     **SMALL_SPEC,
                     "target_rms": 1,
-                    "thin_plate": {"p": 1, "epsilon": 0},
-                    "twist": {"lambda": 2, "alpha": 1},
+                    "thin_plate": {"p": 1},
+                    "twist": {"lambda": 2},
                 }
             )
         )
@@ -296,8 +333,8 @@ class TestSpecJson:
         with pytest.raises(ValueError, match=r"hurst_values must lie in \(0, 1\), got 1\.0$"):
             spec_from_json(json.dumps({**SMALL_SPEC, "hurst_values": [1, 0.5]}))
         assert type(spec.target_rms) is float
-        assert type(spec.thin_plate.p) is float and type(spec.thin_plate.epsilon) is float
-        assert type(spec.twist.lam) is float and type(spec.twist.alpha) is float
+        assert type(spec.thin_plate.p) is float
+        assert type(spec.twist.lam) is float
 
     def test_null_where_none_allowed(self):
         spec = spec_from_json(
@@ -313,22 +350,13 @@ class TestSpecJson:
                 {
                     **SMALL_SPEC,
                     "synthesis": {"periodic": False, "envelope": "power"},
-                    "twist": {"monotone": False, "beta": "auto"},
+                    "boxcar": {"range_adjust": "none"},
                 }
             )
         )
         assert spec.synthesis.periodic is False
         assert spec.synthesis.envelope == "power"
-        assert spec.twist.monotone is False
-        assert spec.twist.beta == "auto"
-
-    @pytest.mark.parametrize("key", ["alpha", "beta"])
-    def test_twist_weight_string_must_be_auto(self, key):
-        with pytest.raises(ValueError, match=f"{key} must be a number or 'auto'"):
-            spec_from_json(json.dumps({**SMALL_SPEC, "twist": {key: "fast"}}))
-        for value in ("auto", 1.25, 2):
-            spec = spec_from_json(json.dumps({**SMALL_SPEC, "twist": {key: value}}))
-            assert getattr(spec.twist, key) == value
+        assert spec.boxcar.range_adjust == "none"
 
     def test_lambda_auto(self):
         text = json.dumps(
@@ -476,38 +504,55 @@ class TestCampaign:
         assert len(rows) == 3 * 2 * 2
         assert len(calls) == 2 * 2  # counts x repeats
 
-    def test_pool_gets_one_tp_task_per_mask(self, monkeypatch):
+    def test_pool_gets_one_tp_task_per_mask(self, monkeypatch, inline_pool):
         # under --jobs tp runs every h of a mask in one task, so the worker
         # that gets the task factors the mask's thin-plate system once; the
         # other methods run one task per (mask, h)
         from cvfbm import baselines
 
-        calls, tasks = [], []
+        calls = []
+        workers, tasks = inline_pool
         original = baselines._cholesky
         monkeypatch.setattr(baselines, "_cholesky", lambda blocks: calls.append(1) or original(blocks))
-
-        class InlinePool:  # stands in for ProcessPoolExecutor, running each task here
-            def __init__(self, max_workers):
-                assert max_workers == 2
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                args = list(zip(*iterables))
-                tasks.extend(args)
-                return [fn(*a) for a in args]
-
-        monkeypatch.setattr(harness_module, "ProcessPoolExecutor", InlinePool)
         spec = tiny_spec(hurst_values=(0.4, 0.6, 0.8), sample_counts=(30, 60), methods=("box", "tp"))
         key = lambda rows: [(r.method, r.h, r.n_sub, r.seed, r.rmse, r.snr_db) for r in rows]
         assert key(run_table2(spec, jobs=2)) == key(run_table2(spec))
+        assert workers == [2]
         assert len(tasks) == 2 * 2 * (3 + 1)  # counts x repeats x (one box task per h, one tp task)
         assert sorted(len(t[4]) for t in tasks) == [1] * 12 + [3] * 4  # hs per task
         assert len(calls) == 2 * (2 * 2)  # both runs factor each mask once
+
+    @pytest.mark.parametrize(
+        "methods, counts, tasks",
+        [
+            (("box", "tp"), (30, 60), 2 * (3 + 1)),  # counts x (one box task per h, one tp task)
+            (("tp",), (30, 60), 2),
+            (("tp",), (30,), 1),
+        ],
+    )
+    def test_pool_capped_at_tasks_per_repeat(self, inline_pool, methods, counts, tasks):
+        # a pool forks all its workers at the first task, so it gets no more
+        # than one repeat's tasks, and none at all for a single task
+        workers, _ = inline_pool
+        spec = tiny_spec(hurst_values=(0.4, 0.6, 0.8), sample_counts=counts, methods=methods)
+        key = lambda rows: [(r.method, r.h, r.n_sub, r.seed, r.rmse, r.snr_db) for r in rows]
+        assert key(run_table2(spec, jobs=10_000)) == key(run_table2(spec))
+        assert workers == ([tasks] if tasks > 1 else [])
+
+    def test_task_without_store_returns_no_fields(self):
+        # a pool task pickles its result back to the campaign, which reads
+        # reconstructions only to store them
+        spec = tiny_spec(grid=(24, 24), hurst_values=(0.4, 0.6, 0.8), sample_counts=(100,), methods=("box", "tp"))
+        truths = np.stack([_cell_truth(spec, "independent", h, 0)[0] for h in range(3)])
+        seeds = [_cell_truth(spec, "independent", h, 0)[1] for h in range(3)]
+        mask = _repeat_masks(spec, 0)[0]
+        task = (spec, ("box", "tp"), 0, mask, range(3), truths, seeds)
+        kept, dropped = _cells_task(*task, True), _cells_task(*task, False)
+        assert all(isinstance(recon, np.ndarray) for _, recon, _ in kept)
+        assert all(recon is None for _, recon, _ in dropped)
+        strip = lambda cells: [(key, replace(row, wall_time_s=0.0)) for key, _, row in cells]
+        assert strip(kept) == strip(dropped)
+        assert len(pickle.dumps(dropped)) < 4096 < 6 * 24 * 24 * 16 < len(pickle.dumps(kept))
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one_rejected(self, tmp_path, jobs):
