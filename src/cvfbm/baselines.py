@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SampleSet
+from .grid import SampleSet, check_int
 
 __all__ = [
     "BoxcarConfig",
@@ -14,7 +14,6 @@ __all__ = [
     "ThinPlateConfig",
     "thin_plate_reconstruct",
     "thin_plate_coefficients",
-    "default_smoothing_p",
 ]
 
 
@@ -24,6 +23,7 @@ class BoxcarConfig:
     range_adjust: str = "affine"
 
     def __post_init__(self):
+        check_int(self.window, "window")
         if self.window < 1 or self.window % 2 == 0:
             raise ValueError("window must be an odd positive integer")
         if self.range_adjust not in ("none", "affine"):

@@ -28,12 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SampleSet, as_field, dft2, idft2, mirror_extend_samples, take_quadrant
+from .grid import SampleSet, as_field, check_int, dft2, idft2, mirror_extend_samples, take_quadrant
 from .sampling import MeasurementOperator
 
 __all__ = [
-    "tv",
-    "tv_denoise",
     "EqualitySolverConfig",
     "bp_reconstruct",
     "tv_equality_reconstruct",
@@ -117,6 +115,7 @@ def tv_denoise(field, weight: float, iters: int = 30, return_gap: bool = False):
     f = as_field(field)
     if not (np.isfinite(weight) and weight > 0):
         raise ValueError("weight must be positive and finite")
+    check_int(iters, "iters")
     if iters < 1:
         raise ValueError("iters must be at least 1")
     tau = 0.125
@@ -139,7 +138,7 @@ def tv_denoise(field, weight: float, iters: int = 30, return_gap: bool = False):
     work = np.empty(f.shape, dtype=np.complex128)
     mag = np.empty(f.shape)
     sq = np.empty(f.shape)
-    for _ in range(int(iters)):
+    for _ in range(iters):
         _div(p, out=v, work=work)
         v *= tau
         v -= scaled
@@ -164,6 +163,7 @@ class EqualitySolverConfig:
     max_iters: int = 600
 
     def __post_init__(self):
+        check_int(self.max_iters, "max_iters")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
 
@@ -340,8 +340,10 @@ class TwistConfig:
             raise ValueError("lambda must be positive and finite")
         if not 0.0 < self.tol < 1.0:
             raise ValueError("tol must lie in (0, 1)")
+        check_int(self.max_iters, "max_iters")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
+        check_int(self.tv_inner_iters, "tv_inner_iters")
         if self.tv_inner_iters < 1:
             raise ValueError("tv_inner_iters must be at least 1")
 

@@ -11,12 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "as_field",
     "dft2",
     "idft2",
-    "take_quadrant",
     "SampleSet",
-    "mirror_extend_samples",
 ]
 
 
@@ -63,6 +60,15 @@ def take_quadrant(f) -> np.ndarray:
     if rows % 2 or cols % 2:
         raise ValueError(f"grid dimensions must be even, got {rows}x{cols}")
     return f[: rows // 2, : cols // 2].copy()
+
+
+def check_int(value, name: str) -> None:
+    """ValueError naming ``name`` unless ``value`` is a Python or numpy integer.
+
+    A bool is no integer here, and neither is a float, even a whole or NaN one.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"bad {name} value {value!r}: expected an integer")
 
 
 def flat_positions(positions, rows: int, cols: int) -> np.ndarray:

@@ -38,6 +38,7 @@ from .cs import (
     twist_reconstruct,
 )
 from .fileio import field_from_bytes, field_to_bytes, mask_to_bytes
+from .grid import check_int
 from .metrics import rmse as rmse_metric, snr_db as snr_metric
 from .sampling import mask_from_draw, subsample
 from .synthesis import normalize_dynamic_range, synthesize_cvfbm
@@ -112,6 +113,16 @@ class ExperimentSpec:
 
     def __post_init__(self):
         rows, cols = self.grid
+        integers = {
+            "grid": self.grid,
+            "repeats": (self.repeats,),
+            "base_seed": (self.base_seed,),
+            "sample_counts": self.sample_counts or (),
+            "subsampling_factors": self.subsampling_factors or (),
+        }
+        for name, values in integers.items():
+            for value in values:
+                check_int(value, name)
         if rows < 2 or cols < 2:
             raise ValueError("grid too small")
         if not self.hurst_values:
@@ -149,6 +160,7 @@ class ExperimentSpec:
     @property
     def counts(self) -> tuple[int, ...]:
         total = self.grid[0] * self.grid[1]
+        # numpy integers leave as Python ints, which manifest.json can hold
         if self.sample_counts is not None:
             return tuple(int(n) for n in self.sample_counts)
         return tuple(total // int(f) for f in self.subsampling_factors)
@@ -346,9 +358,10 @@ def _task_groups(spec: ExperimentSpec) -> list[tuple[tuple[str, ...], range]]:
 
 
 def _run_cells(spec: ExperimentSpec, methods: tuple, nsub_idx: int, mask, hs: range, truths, seeds, keep: bool):
-    """Yield the cells of one mask, for each h of hs (whose truths and seeds
-    are given), by each of methods: ((h_idx, nsub_idx, method), recon, row),
-    with recon None unless ``keep`` (a pool task then returns no field)."""
+    """One task: the cells of one mask, for each h of hs (whose truths and
+    seeds are given), by each of methods: ((h_idx, nsub_idx, method), recon,
+    row), with recon None unless ``keep`` (a pool task then returns no field)."""
+    cells = []
     for h_idx, truth, seed in zip(hs, truths, seeds):
         samples = subsample(truth, mask)
         for method in methods:
@@ -366,12 +379,8 @@ def _run_cells(spec: ExperimentSpec, methods: tuple, nsub_idx: int, mask, hs: ra
                 wall_time_s=wall,
                 iterations=info.get("iterations", 0),
             )
-            yield (h_idx, nsub_idx, method), recon if keep else None, row
-
-
-def _cells_task(*args) -> list:
-    """_run_cells as one pool task, its cells collected in the worker."""
-    return list(_run_cells(*args))
+            cells.append(((h_idx, nsub_idx, method), recon if keep else None, row))
+    return cells
 
 
 def _run_repeat(
@@ -380,8 +389,8 @@ def _run_repeat(
     """Run one repeat's cells: (result rows, manifest entries).
 
     The repeat's truths (one per h) and masks (one per count) are built once.
-    Each mask runs one task per group of _task_groups. Tasks go to the pool,
-    or run serially cell by cell (see _run_cells). Truths are copied into the
+    Each mask runs one task per group of _task_groups, in the pool or
+    serially (see _run_cells). Truths are copied into the
     campaign's ``truths`` buffer, which every repeat overwrites. With a store,
     reconstructions are copied into its ``recons`` buffer likewise (without
     one, nothing reads them, recons is None and the tasks drop them), and
@@ -400,7 +409,7 @@ def _run_repeat(
         for methods, g in _task_groups(spec)
     ]
     args = zip(*tasks)  # map takes one iterable per argument
-    done = pool.map(_cells_task, *args) if pool is not None else map(_run_cells, *args)
+    done = (pool.map if pool is not None else map)(_run_cells, *args)
     rows, made = [], []
     for cells in done:
         for key, recon, row in cells:
@@ -441,6 +450,7 @@ def _run_campaign(spec: ExperimentSpec, policy: str, out_dir=None, jobs: int = 1
     # repeat's end would be trimmed from the heap and faulted back in by the
     # next, at a cost that shifts with the heap's layout from run to run. Only
     # the store reads reconstructions, so without one they are not kept
+    check_int(jobs, "jobs")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     store = _ArtifactStore(out_dir) if out_dir is not None else None
@@ -469,12 +479,15 @@ def _run_campaign(spec: ExperimentSpec, policy: str, out_dir=None, jobs: int = 1
     return rows
 
 
-def _audit_rows(spec: ExperimentSpec, manifest: list, store: "_ArtifactStore", n_checks: int = 10):
+_AUDIT_CHECKS = 10  # manifest rows the audit recomputes
+
+
+def _audit_rows(spec: ExperimentSpec, manifest: list, store: "_ArtifactStore"):
     """Recompute the stored rmse of random rows from the persisted artifacts."""
     if not manifest:
         return
     rng = np.random.default_rng(derive_seed(spec.base_seed, _AUDIT_STREAM))
-    picks = rng.choice(len(manifest), size=min(n_checks, len(manifest)), replace=False)
+    picks = rng.choice(len(manifest), size=min(_AUDIT_CHECKS, len(manifest)), replace=False)
     for i in picks:
         entry = manifest[int(i)]
         truth = store.get_field(entry["truth"])

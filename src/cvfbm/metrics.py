@@ -8,7 +8,7 @@ import numpy as np
 
 from .grid import as_field, dft2, radial_sq
 
-__all__ = ["mse", "rmse", "snr_db", "EvalReport", "evaluate", "radial_spectrum_slope"]
+__all__ = ["rmse", "snr_db", "EvalReport", "evaluate", "radial_spectrum_slope"]
 
 SNR_CAP_DB = 200.0
 # smallest grid side radial_spectrum_slope fits: its fit range ends at side/4

@@ -127,14 +127,18 @@ class MomentTensor:
         _discriminant(self.q11, self.q12, self.q22)
 
 
-def brightness_moments(img, weight: RadialProfile | None = None, max_iters: int = 50, tol: float = 1e-8) -> MomentTensor:
+_CENTROID_ITERS = 50
+_CENTROID_TOL = 1e-8
+
+
+def brightness_moments(img, weight: RadialProfile | None = None) -> MomentTensor:
     """Flux-weighted central second moments of a star image.
 
     q_ij = sum_p w_p I_p (theta_i - c_i)(theta_j - c_j) / sum_p w_p I_p, with
     the centroid c computed from the same weights. When the weight profile is
     given it is centered on the current centroid estimate and the centroid is
-    iterated to a fixed point (at most ``max_iters`` rounds, convergence
-    ``tol`` pixels). Unit weight needs a single round.
+    iterated to a fixed point (at most _CENTROID_ITERS rounds, convergence
+    _CENTROID_TOL pixels). Unit weight needs a single round.
     """
     img = np.asarray(img, dtype=float)
     if img.ndim != 2:
@@ -150,7 +154,7 @@ def brightness_moments(img, weight: RadialProfile | None = None, max_iters: int 
     xc = (img * x).sum() / img.sum()
     yc = (img * y).sum() / img.sum()
 
-    for _ in range(max_iters):
+    for _ in range(_CENTROID_ITERS):
         if weight is None:
             w = 1.0
         else:
@@ -163,7 +167,7 @@ def brightness_moments(img, weight: RadialProfile | None = None, max_iters: int 
         yn = (wi * y).sum() / s
         shift = np.hypot(xn - xc, yn - yc)
         xc, yc = xn, yn
-        if shift < tol:
+        if shift < _CENTROID_TOL:
             break
     else:
         raise RuntimeError("centroid iteration did not converge")

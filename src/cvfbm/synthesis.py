@@ -12,7 +12,6 @@ import numpy as np
 from .grid import as_field, dft2, idft2, radial_sq, take_quadrant
 
 __all__ = [
-    "spectral_envelope",
     "synthesize_cvfbm",
     "normalize_dynamic_range",
 ]

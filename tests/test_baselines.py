@@ -18,7 +18,6 @@ from cvfbm import (
     SampleSet,
     ThinPlateConfig,
     boxcar_reconstruct,
-    default_smoothing_p,
     random_mask,
     subsample,
     synthesize_cvfbm,
@@ -26,6 +25,7 @@ from cvfbm import (
     thin_plate_reconstruct,
     write_samples_csv,
 )
+from cvfbm.baselines import default_smoothing_p
 
 
 def make_samples(rows, cols, positions, values):
@@ -522,6 +522,19 @@ class TestThinPlateFastPaths:
         modules = [importlib.import_module(f"cvfbm.{name}") for name in names]
         assert len(cvfbm.__all__) == len(set(cvfbm.__all__))
         assert set(cvfbm.__all__) == {n for m in modules for n in m.__all__}
+        # the public surface, pinned: a name joins it only by editing this list
+        assert sorted(cvfbm.__all__) == [
+            "BoxcarConfig", "EqualitySolverConfig", "EvalReport", "ExperimentSpec", "MeasurementOperator",
+            "MomentTensor", "RadialProfile", "ResultRow", "SampleSet", "SynthesisOptions", "ThinPlateConfig",
+            "TwistConfig", "boxcar_reconstruct", "bp_reconstruct", "brightness_moments",
+            "compressibility_diagnostics", "derive_seed", "dft2", "ellipticity_from_moments", "evaluate", "idft2",
+            "mean_table", "normalize_dynamic_range", "psf_radius", "radial_spectrum_slope", "random_mask",
+            "read_cvf1", "read_samples_csv", "render_star", "rmse", "run_table1", "run_table2", "shear_coords",
+            "snr_db", "spec_from_json", "spec_to_json", "subsample", "synthesize_cvfbm", "table1_spec",
+            "table2_spec", "thin_plate_coefficients", "thin_plate_reconstruct", "tv_equality_reconstruct",
+            "twist_reconstruct", "write_cvf1", "write_mask_csv", "write_mean_csv", "write_pgm",
+            "write_results_csv", "write_samples_csv",
+        ]
         for module in modules:
             for name in module.__all__:
                 obj = getattr(cvfbm, name)

@@ -12,18 +12,15 @@ from cvfbm import (
     compressibility_diagnostics,
     dft2,
     idft2,
-    mirror_extend_samples,
     random_mask,
     subsample,
     synthesize_cvfbm,
-    take_quadrant,
-    tv,
-    tv_denoise,
     tv_equality_reconstruct,
     twist_reconstruct,
 )
 from cvfbm import cs as cs_module
-from cvfbm.cs import AUTO_LAMBDA_FACTOR, _ALPHA, _BETA, _TV_STEP, _TV_TOL, _div, _grad
+from cvfbm.cs import AUTO_LAMBDA_FACTOR, _ALPHA, _BETA, _TV_STEP, _TV_TOL, _div, _grad, tv, tv_denoise
+from cvfbm.grid import mirror_extend_samples, take_quadrant
 from cvfbm.harness import _cell_truth, _repeat_masks, table1_spec
 
 

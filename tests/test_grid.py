@@ -5,14 +5,11 @@ from hypothesis import strategies as st
 
 from cvfbm import (
     SampleSet,
-    as_field,
     dft2,
     idft2,
-    mirror_extend_samples,
     subsample,
-    take_quadrant,
 )
-from cvfbm.grid import flat_positions, radial_sq
+from cvfbm.grid import as_field, flat_positions, mirror_extend_samples, radial_sq, take_quadrant
 
 
 def mirror_extend(f):

@@ -33,12 +33,13 @@ from cvfbm import (
     write_results_csv,
 )
 from cvfbm import harness as harness_module
+from cvfbm.cs import tv_denoise
 from cvfbm.harness import (
     _ArtifactStore,
     _audit_rows,
     _cell_truth,
-    _cells_task,
     _repeat_masks,
+    _run_cells,
 )
 
 
@@ -185,6 +186,34 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="base_seed must be non-negative"):
             tiny_spec(base_seed=-1)
         assert tiny_spec(base_seed=0).base_seed == 0
+
+    @pytest.mark.parametrize(
+        "name, make, good",
+        [
+            ("grid", lambda v: tiny_spec(grid=(v, 12)), 12),
+            ("repeats", lambda v: tiny_spec(repeats=v), 2),
+            ("base_seed", lambda v: tiny_spec(base_seed=v), 1),
+            ("sample_counts", lambda v: tiny_spec(sample_counts=(v,)), 30),
+            ("subsampling_factors", lambda v: tiny_spec(sample_counts=None, subsampling_factors=(v,)), 2),
+            ("window", lambda v: BoxcarConfig(window=v), 3),
+            ("max_iters", lambda v: EqualitySolverConfig(max_iters=v), 5),
+            ("max_iters", lambda v: TwistConfig(max_iters=v), 5),
+            ("tv_inner_iters", lambda v: TwistConfig(tv_inner_iters=v), 5),
+            ("iters", lambda v: tv_denoise(np.ones((4, 4)), 0.1, iters=v), 5),
+            ("jobs", lambda v: run_table2(tiny_spec(methods=("box",), repeats=1), jobs=v), 1),
+        ],
+        ids=[
+            "grid", "repeats", "base_seed", "sample_counts", "subsampling_factors", "window",
+            "equality.max_iters", "twist.max_iters", "tv_inner_iters", "tv_denoise.iters", "jobs",
+        ],
+    )
+    def test_integer_fields_reject_floats_and_bools(self, name, make, good):
+        # a float or bool must not be truncated or coerced (2.5 to 2, True
+        # to 1), nor fail later with a TypeError that names no field
+        for bad in (2.5, float("nan"), True):
+            with pytest.raises(ValueError, match=rf"bad {name} value {bad!r}: expected an integer"):
+                make(bad)
+        make(np.int64(good))
 
     def test_counts_from_factors(self):
         spec = tiny_spec(grid=(10, 10), sample_counts=None, subsampling_factors=(2, 4))
@@ -547,7 +576,7 @@ class TestCampaign:
         seeds = [_cell_truth(spec, "independent", h, 0)[1] for h in range(3)]
         mask = _repeat_masks(spec, 0)[0]
         task = (spec, ("box", "tp"), 0, mask, range(3), truths, seeds)
-        kept, dropped = _cells_task(*task, True), _cells_task(*task, False)
+        kept, dropped = _run_cells(*task, True), _run_cells(*task, False)
         assert all(isinstance(recon, np.ndarray) for _, recon, _ in kept)
         assert all(recon is None for _, recon, _ in dropped)
         strip = lambda cells: [(key, replace(row, wall_time_s=0.0)) for key, _, row in cells]

@@ -5,14 +5,13 @@ from cvfbm import (
     EvalReport,
     dft2,
     evaluate,
-    mse,
     radial_spectrum_slope,
     rmse,
     snr_db,
-    spectral_envelope,
     synthesize_cvfbm,
 )
-from cvfbm.metrics import SNR_CAP_DB
+from cvfbm.metrics import SNR_CAP_DB, mse
+from cvfbm.synthesis import spectral_envelope
 
 
 def random_field(rows, cols, seed=0):

@@ -5,10 +5,10 @@ from cvfbm import (
     dft2,
     normalize_dynamic_range,
     radial_spectrum_slope,
-    spectral_envelope,
     synthesize_cvfbm,
-    tv,
 )
+from cvfbm.cs import tv
+from cvfbm.synthesis import spectral_envelope
 
 
 class TestSpectralEnvelope:
