@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SampleSet, check_int
+from .grid import SampleSet, check_int, check_real
 
 __all__ = [
     "BoxcarConfig",
@@ -107,8 +107,10 @@ class ThinPlateConfig:
     p: float | None = None
 
     def __post_init__(self):
-        if self.p is not None and not 0.0 < self.p <= 1.0:
-            raise ValueError("p must lie in (0, 1]")
+        if self.p is not None:
+            check_real(self.p, "p")
+            if not 0.0 < self.p <= 1.0:
+                raise ValueError("p must lie in (0, 1]")
 
 
 def default_smoothing_p(positions: np.ndarray) -> float:

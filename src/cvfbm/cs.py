@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SampleSet, as_field, check_int, dft2, idft2, mirror_extend_samples, take_quadrant
+from .grid import SampleSet, as_field, check_int, check_real, dft2, idft2, mirror_extend_samples, take_quadrant
 from .sampling import MeasurementOperator
 
 __all__ = [
@@ -336,8 +336,11 @@ class TwistConfig:
     tv_inner_iters: int = 10
 
     def __post_init__(self):
-        if self.lam is not None and not (np.isfinite(self.lam) and self.lam > 0):
-            raise ValueError("lambda must be positive and finite")
+        if self.lam is not None:
+            check_real(self.lam, "lambda")
+            if not (np.isfinite(self.lam) and self.lam > 0):
+                raise ValueError("lambda must be positive and finite")
+        check_real(self.tol, "tol")
         if not 0.0 < self.tol < 1.0:
             raise ValueError("tol must lie in (0, 1)")
         check_int(self.max_iters, "max_iters")

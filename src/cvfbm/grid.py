@@ -71,6 +71,16 @@ def check_int(value, name: str) -> None:
         raise ValueError(f"bad {name} value {value!r}: expected an integer")
 
 
+def check_real(value, name: str) -> None:
+    """ValueError naming ``name`` unless ``value`` is a Python or numpy int or float.
+
+    A bool is no number here, and neither is a string. NaN and inf pass, for
+    the caller's range checks to reject.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"bad {name} value {value!r}: expected a number")
+
+
 def flat_positions(positions, rows: int, cols: int) -> np.ndarray:
     """Row-major flat indices of (row, col) positions; ValueError unless in bounds and distinct."""
     pos = np.asarray(positions, dtype=np.int64).reshape(-1, 2)

@@ -38,7 +38,7 @@ from .cs import (
     twist_reconstruct,
 )
 from .fileio import field_from_bytes, field_to_bytes, mask_to_bytes
-from .grid import check_int
+from .grid import check_int, check_real
 from .metrics import rmse as rmse_metric, snr_db as snr_metric
 from .sampling import mask_from_draw, subsample
 from .synthesis import normalize_dynamic_range, synthesize_cvfbm
@@ -93,6 +93,8 @@ class SynthesisOptions:
     def __post_init__(self):
         if self.envelope not in ("amplitude", "power"):
             raise ValueError(f"unknown envelope {self.envelope!r}")
+        if not isinstance(self.periodic, (bool, np.bool_)):
+            raise ValueError(f"bad periodic value {self.periodic!r}: expected a bool")
 
 
 @dataclass(frozen=True)
@@ -141,6 +143,7 @@ class ExperimentSpec:
         if self.subsampling_factors is not None and min(self.subsampling_factors) < 1:
             raise ValueError("subsampling factors must be at least 1")
         for h in self.hurst_values:
+            check_real(h, "hurst_values")
             if not 0.0 < h < 1.0:
                 raise ValueError(f"hurst_values must lie in (0, 1), got {h}")
         if self.base_seed < 0:
@@ -154,16 +157,17 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must not repeat a value, got {values}")
         if len(set(self.counts)) < len(self.counts):
             raise ValueError(f"{given} must give distinct sample counts, got {self.counts}")
-        if self.target_rms is not None and not (np.isfinite(self.target_rms) and self.target_rms > 0):
-            raise ValueError("target_rms must be positive and finite")
+        if self.target_rms is not None:
+            check_real(self.target_rms, "target_rms")
+            if not (np.isfinite(self.target_rms) and self.target_rms > 0):
+                raise ValueError("target_rms must be positive and finite")
 
     @property
     def counts(self) -> tuple[int, ...]:
         total = self.grid[0] * self.grid[1]
-        # numpy integers leave as Python ints, which manifest.json can hold
         if self.sample_counts is not None:
-            return tuple(int(n) for n in self.sample_counts)
-        return tuple(total // int(f) for f in self.subsampling_factors)
+            return tuple(self.sample_counts)
+        return tuple(total // f for f in self.subsampling_factors)
 
 
 @dataclass(frozen=True)
@@ -300,6 +304,13 @@ def spec_from_json(text: str) -> ExperimentSpec:
     return ExperimentSpec(**kwargs)
 
 
+def _json_default(value):
+    """json.dumps hook: a numpy scalar, which the spec accepts, as its Python value."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def spec_to_json(spec: ExperimentSpec) -> str:
     d = asdict(spec)
     for key in ("sample_counts", "subsampling_factors"):
@@ -307,7 +318,7 @@ def spec_to_json(spec: ExperimentSpec) -> str:
             del d[key]
     for section in SECTIONS:
         d[section] = {_json_key(k): v for k, v in d[section].items()}
-    return json.dumps(d, indent=2, sort_keys=True)
+    return json.dumps(d, indent=2, sort_keys=True, default=_json_default)
 
 
 # ---------------------------------------------------------------------------
@@ -582,5 +593,6 @@ class _ArtifactStore:
         return field_from_bytes((self.store / name).read_bytes())
 
     def write_manifest(self, manifest: list) -> None:
-        (self.root / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(manifest, indent=2, sort_keys=True, default=_json_default)
+        (self.root / "manifest.json").write_text(text + "\n")
 

@@ -70,21 +70,19 @@ class RadialProfile:
         return out
 
 
-def render_star(profile: RadialProfile, e1: float, e2: float, size: int, flux: float = 1.0) -> np.ndarray:
-    """Render a sheared star on an odd-sized grid, normalized to total flux.
+def render_star(profile: RadialProfile, e1: float, e2: float, size: int) -> np.ndarray:
+    """Render a sheared star on an odd-sized grid, normalized to unit flux.
 
     Pixel (row, col) is evaluated at its center; the image x axis is the
     column offset from center, y the row offset.
     """
     if size % 2 == 0:
         raise ValueError("star image size must be odd")
-    for name, value in (("e1", e1), ("e2", e2), ("flux", flux)):
+    for name, value in (("e1", e1), ("e2", e2)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite")
     if np.hypot(e1, e2) >= 1.0:
         raise ValueError("|e| must be below 1")
-    if flux <= 0:
-        raise ValueError("flux must be positive")
     c = (size - 1) / 2.0
     rows, cols = np.mgrid[0:size, 0:size]
     x = cols - c
@@ -94,7 +92,7 @@ def render_star(profile: RadialProfile, e1: float, e2: float, size: int, flux: f
     total = img.sum()
     if total <= 0:
         raise ValueError("profile integrates to zero on this grid")
-    return img * (flux / total)
+    return img * (1.0 / total)
 
 
 # A moment discriminant q11*q22 - q12^2 down to -_DISC_RTOL * q11*q22 is
@@ -127,18 +125,11 @@ class MomentTensor:
         _discriminant(self.q11, self.q12, self.q22)
 
 
-_CENTROID_ITERS = 50
-_CENTROID_TOL = 1e-8
-
-
-def brightness_moments(img, weight: RadialProfile | None = None) -> MomentTensor:
+def brightness_moments(img) -> MomentTensor:
     """Flux-weighted central second moments of a star image.
 
-    q_ij = sum_p w_p I_p (theta_i - c_i)(theta_j - c_j) / sum_p w_p I_p, with
-    the centroid c computed from the same weights. When the weight profile is
-    given it is centered on the current centroid estimate and the centroid is
-    iterated to a fixed point (at most _CENTROID_ITERS rounds, convergence
-    _CENTROID_TOL pixels). Unit weight needs a single round.
+    q_ij = sum_p I_p (theta_i - c_i)(theta_j - c_j) / sum_p I_p, with the
+    centroid c = sum_p I_p theta_p / sum_p I_p.
     """
     img = np.asarray(img, dtype=float)
     if img.ndim != 2:
@@ -149,34 +140,14 @@ def brightness_moments(img, weight: RadialProfile | None = None) -> MomentTensor
     x = cols.astype(float)
     y = rows.astype(float)
 
-    if img.sum() <= 0:
+    s = img.sum()
+    if s <= 0:
         raise ValueError("image has no flux")
-    xc = (img * x).sum() / img.sum()
-    yc = (img * y).sum() / img.sum()
-
-    for _ in range(_CENTROID_ITERS):
-        if weight is None:
-            w = 1.0
-        else:
-            w = weight.value(np.hypot(x - xc, y - yc) / weight.scale)
-        wi = w * img
-        s = wi.sum()
-        if s <= 0:
-            raise ValueError("weighted flux vanished")
-        xn = (wi * x).sum() / s
-        yn = (wi * y).sum() / s
-        shift = np.hypot(xn - xc, yn - yc)
-        xc, yc = xn, yn
-        if shift < _CENTROID_TOL:
-            break
-    else:
-        raise RuntimeError("centroid iteration did not converge")
-
-    dx = x - xc
-    dy = y - yc
-    q11 = (wi * dx * dx).sum() / s
-    q22 = (wi * dy * dy).sum() / s
-    q12 = (wi * dx * dy).sum() / s
+    dx = x - (img * x).sum() / s
+    dy = y - (img * y).sum() / s
+    q11 = (img * dx * dx).sum() / s
+    q22 = (img * dy * dy).sum() / s
+    q12 = (img * dx * dy).sum() / s
     return MomentTensor(q11=q11, q12=q12, q22=q22)
 
 

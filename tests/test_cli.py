@@ -659,3 +659,14 @@ class TestStarAndProfile:
         assert code == 1 and out == "" and caught == []
         assert len(err.splitlines()) == 1
         assert "no decay to fit" in json.loads(err)["error"]
+
+
+class TestPackaging:
+    def test_version_read_from_the_package(self):
+        # pyproject.toml names no version of its own: the build reads
+        # cvfbm.__version__, so the two cannot disagree
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+        assert "version" not in project["project"]
+        assert project["project"]["dynamic"] == ["version"]
+        assert project["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "cvfbm.__version__"}

@@ -1,5 +1,6 @@
 import json
 import pickle
+import re
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -215,6 +216,28 @@ class TestSpecValidation:
                 make(bad)
         make(np.int64(good))
 
+    @pytest.mark.parametrize(
+        "name, make, bads, good",
+        [
+            ("hurst_values", lambda v: tiny_spec(hurst_values=(v,)), (True, "0.5"), np.float32(0.5)),
+            ("target_rms", lambda v: tiny_spec(target_rms=v), (True, "0.05"), np.float32(0.05)),
+            ("p", lambda v: ThinPlateConfig(p=v), (True, "0.5"), np.float32(0.5)),
+            ("lambda", lambda v: TwistConfig(lam=v), (True, "0.25"), np.int64(1)),
+            ("tol", lambda v: TwistConfig(tol=v), (True, "1e-6"), np.float32(1e-6)),
+            ("periodic", lambda v: SynthesisOptions(periodic=v), ("false", 0, None), np.False_),
+        ],
+        ids=["hurst_values", "target_rms", "thin_plate.p", "twist.lambda", "twist.tol", "periodic"],
+    )
+    def test_fields_reject_values_of_another_kind(self, name, make, bads, good):
+        # a bool must not be taken as 1.0, a truthy string must not switch
+        # periodic on, and a string must not fail later with a TypeError
+        # that names no field; the spec JSON refuses all of these already
+        expected = "a bool" if name == "periodic" else "a number"
+        for bad in bads:
+            with pytest.raises(ValueError, match=re.escape(f"bad {name} value {bad!r}: expected {expected}")):
+                make(bad)
+        make(good)
+
     def test_counts_from_factors(self):
         spec = tiny_spec(grid=(10, 10), sample_counts=None, subsampling_factors=(2, 4))
         assert spec.counts == (50, 25)
@@ -274,6 +297,29 @@ class TestSpecJson:
         for sections in ({}, NON_DEFAULT_SECTIONS):
             spec = table1_spec(base_seed=11, **sections)
             assert spec_from_json(spec_to_json(spec)) == spec
+
+    @pytest.mark.parametrize(
+        "make, stored",
+        [
+            (lambda: table2_spec(repeats=np.int64(2)), False),
+            (lambda: table2_spec(hurst_values=(np.float32(0.5),)), False),
+            (lambda: table2_spec(twist=TwistConfig(max_iters=np.int64(5))), False),
+            (lambda: tiny_spec(grid=(16, 16), hurst_values=(np.float32(0.5),), methods=("box",), repeats=1), True),
+            (lambda: tiny_spec(sample_counts=(np.int64(60),), methods=("box",), repeats=1), True),
+            (lambda: tiny_spec(sample_counts=None, subsampling_factors=(np.int64(4),), repeats=1), True),
+        ],
+        ids=["repeats", "hurst_values", "twist.max_iters", "stored-hurst", "stored-count", "stored-factor"],
+    )
+    def test_numpy_scalars_written_as_json(self, make, stored, tmp_path):
+        # the spec accepts numpy scalars, so spec.json and manifest.json
+        # must be able to hold them
+        spec = make()
+        assert spec_from_json(spec_to_json(spec)) == spec
+        if stored:
+            rows = run_table2(spec, out_dir=tmp_path)
+            manifest = json.loads((tmp_path / "manifest.json").read_text())
+            assert [(e["h"], e["n_sub"]) for e in manifest] == [(r.h, r.n_sub) for r in rows]
+            assert {e["n_sub"] for e in manifest} == set(spec.counts)
 
     def test_unknown_top_key(self):
         with pytest.raises(ValueError, match="snake"):
