@@ -6,8 +6,8 @@ A E = y with A = selection after the unitary inverse DFT. Because the DFT is
 unitary, A A^H is the identity on the measurement space, which gives exact
 constraint projections for free:
 
-* ``bp_reconstruct`` minimizes the l1 norm of E (basis pursuit) by ADMM with
-  complex soft-thresholding.
+* ``bp_reconstruct`` minimizes the l1 norm of E (basis pursuit) by a
+  primal-dual iteration whose dual step clips to the unit complex disc.
 * ``tv_equality_reconstruct`` minimizes the total variation of E subject to
   the data constraints, via a primal-dual splitting with a final exact
   projection.
@@ -168,11 +168,11 @@ class EqualitySolverConfig:
             raise ValueError("max_iters must be positive")
 
 
-def _soft(x: np.ndarray, t: float) -> np.ndarray:
-    """Complex soft-threshold: shrink magnitudes by t, keep phases."""
-    mag = np.abs(x)
-    scale = np.maximum(mag - t, 0.0) / np.maximum(mag, 1e-300)
-    return x * scale
+def _clip(p: np.ndarray, mag: np.ndarray) -> None:
+    """Each point of the dual ``p`` onto the unit ball, in place; ``mag`` = |p| is overwritten."""
+    np.maximum(1.0, mag, out=mag)
+    np.divide(1.0, mag, out=mag)
+    p *= mag
 
 
 def _operator_for(samples: SampleSet) -> MeasurementOperator:
@@ -205,44 +205,44 @@ def _finish_equality(
     return idft2(e), info
 
 
-# basis pursuit stops once its primal residual ||E - Z|| and dual residual
-# ||Z - Z_prev|| both fall below this fraction of ||Z||
-_BP_TOL = 1e-9
+# the equality solvers stop once their steps relative to ||E|| (and cs-tv's
+# relative constraint residual) are at most this
+_EQUALITY_TOL = 1e-9
 
 
 def bp_reconstruct(samples: SampleSet, cfg: EqualitySolverConfig = EqualitySolverConfig()):
     """Basis pursuit: min sum|E_k| subject to the samples, returns idft2(E).
 
-    ADMM with the splitting E = Z and penalty 1: the E update projects
-    exactly onto the constraint set (A A^H = I), the Z update soft-thresholds
-    the complex magnitudes by 1. Any grid size is solved; ``cfg.max_iters``
-    bounds the work.
+    Chambolle-Pock with K = I and tau = sigma = 1, i.e. Douglas-Rachford: the
+    dual Z clips Z + E_bar to the unit complex disc, and E - Z is projected
+    exactly onto the constraint set (A A^H = I). Any grid size is solved;
+    ``cfg.max_iters`` bounds the work.
     """
     op = _operator_for(samples)
     y = samples.values
-    z = op.adjoint(y)
-    u = np.zeros_like(z)
+    e = op.adjoint(y)
+    e_bar = e
+    z = np.zeros_like(e)
     iterations = cfg.max_iters
     converged = False
     for it in range(cfg.max_iters):
-        e = _project(op, y, z - u)
-        z_new = _soft(e + u, 1.0)
-        u = u + e - z_new
-        primal = np.linalg.norm(e - z_new)
+        z_new = z + e_bar
+        _clip(z_new, np.abs(z_new))
+        e_new = _project(op, y, e - z_new)
+        e_bar = 2.0 * e_new - e
+        primal = np.linalg.norm(e_new - e)
         dual = np.linalg.norm(z_new - z)
-        z = z_new
-        scale = max(np.linalg.norm(z), 1e-30)
-        if primal <= _BP_TOL * scale and dual <= _BP_TOL * scale:
+        e, z = e_new, z_new
+        scale = max(np.linalg.norm(e), 1e-30)
+        if primal <= _EQUALITY_TOL * scale and dual <= _EQUALITY_TOL * scale:
             iterations = it + 1
             converged = True
             break
-    return _finish_equality(op, y, z, iterations, converged, lambda e: float(np.sum(np.abs(e))))
+    return _finish_equality(op, y, e, iterations, converged, lambda e: float(np.sum(np.abs(e))))
 
 
-# cs-tv's steps tau = sigma, and its stop: at a 25-iteration check, the
-# relative constraint residual and the step relative to ||E|| both below _TV_TOL
+# cs-tv's steps tau = sigma
 _TV_STEP = 1.0 / 3.0
-_TV_TOL = 1e-9
 
 
 def tv_equality_reconstruct(
@@ -290,9 +290,7 @@ def tv_equality_reconstruct(
     for it in range(cfg.max_iters):
         np.multiply(_TV_STEP, _grad(e_bar, out=g), out=g)
         p += g
-        np.maximum(1.0, _magnitude(p, mag, sq), out=mag)
-        np.divide(1.0, mag, out=mag)
-        p *= mag
+        _clip(p, _magnitude(p, mag, sq))
         r = op._forward(e_bar)
         r -= y
         q += np.multiply(_TV_STEP, r, out=r)
@@ -305,7 +303,7 @@ def tv_equality_reconstruct(
         if it % 25 == 24:
             primal = np.linalg.norm(op.forward(e) - y) / y_norm
             step = np.linalg.norm(np.subtract(e, e_new, out=d))
-            if primal <= _TV_TOL and step <= _TV_TOL * max(np.linalg.norm(e), 1e-30):
+            if primal <= _EQUALITY_TOL and step <= _EQUALITY_TOL * max(np.linalg.norm(e), 1e-30):
                 iterations = it + 1
                 converged = True
                 break

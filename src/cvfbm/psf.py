@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import check_int, check_real
+
 __all__ = [
     "shear_coords",
     "RadialProfile",
@@ -49,6 +51,7 @@ class RadialProfile:
         if self.kind not in ("gaussian", "moffat", "airy"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
         for name in ("scale", "beta"):
+            check_real(getattr(self, name), name)
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.scale <= 0:
@@ -76,9 +79,11 @@ def render_star(profile: RadialProfile, e1: float, e2: float, size: int) -> np.n
     Pixel (row, col) is evaluated at its center; the image x axis is the
     column offset from center, y the row offset.
     """
-    if size % 2 == 0:
-        raise ValueError("star image size must be odd")
+    check_int(size, "size")
+    if size < 1 or size % 2 == 0:
+        raise ValueError(f"star image size must be odd and positive, got {size}")
     for name, value in (("e1", e1), ("e2", e2)):
+        check_real(value, name)
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite")
     if np.hypot(e1, e2) >= 1.0:

@@ -11,8 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import SampleSet, as_field, flat_positions
-# perfbench/spans.py traces the unitary DFTs under this module's names too
-from .grid import dft2, idft2  # noqa: F401
 
 __all__ = [
     "random_mask",

@@ -1,11 +1,10 @@
 """Acceptance gate: one test per release criterion, each printing a PASS or
-FAIL line with the measured numbers. The campaign fixtures run the default
-benchmark specs once and are shared by the tests that grade them."""
+FAIL line with the measured numbers. The default campaigns come from the
+session fixtures in conftest.py."""
 
 import time
 
 import numpy as np
-import pytest
 
 from cvfbm import (
     EqualitySolverConfig,
@@ -24,7 +23,6 @@ from cvfbm import (
     radial_spectrum_slope,
     random_mask,
     render_star,
-    run_table1,
     run_table2,
     shear_coords,
     subsample,
@@ -47,20 +45,6 @@ def grade(num, name, checks, elapsed, budget):
     print(f"{status} acceptance {num} ({name}): "
           + (f"{len(checks)} checks in {elapsed:.1f}s" if not failed else "; ".join(failed)))
     assert not failed, f"acceptance {num} ({name}): " + "; ".join(failed)
-
-
-@pytest.fixture(scope="module")
-def paired_campaign():
-    t0 = time.perf_counter()
-    rows = run_table1()
-    return rows, time.perf_counter() - t0
-
-
-@pytest.fixture(scope="module")
-def comparison_campaign():
-    t0 = time.perf_counter()
-    rows = run_table2()
-    return rows, time.perf_counter() - t0
 
 
 def test_01_spectral_slope():

@@ -12,6 +12,7 @@ from cvfbm import (
     compressibility_diagnostics,
     dft2,
     idft2,
+    normalize_dynamic_range,
     random_mask,
     subsample,
     synthesize_cvfbm,
@@ -19,7 +20,7 @@ from cvfbm import (
     twist_reconstruct,
 )
 from cvfbm import cs as cs_module
-from cvfbm.cs import AUTO_LAMBDA_FACTOR, _ALPHA, _BETA, _TV_STEP, _TV_TOL, _div, _grad, tv, tv_denoise
+from cvfbm.cs import AUTO_LAMBDA_FACTOR, _ALPHA, _BETA, _EQUALITY_TOL, _TV_STEP, _clip, _div, _grad, tv, tv_denoise
 from cvfbm.grid import mirror_extend_samples, take_quadrant
 from cvfbm.harness import _cell_truth, _repeat_masks, table1_spec
 
@@ -331,6 +332,14 @@ class TestBasisPursuit:
         assert info["converged"] is True
         assert info["iterations"] < cfg.max_iters
 
+    def test_stop_waits_for_the_dual_on_a_small_amplitude_field(self):
+        # every |A^H y| is below 0.19, so the first dual step stays inside
+        # the unit disc and E does not move: a stop on the primal step alone
+        # would end at iteration 1 with objective 6.42
+        f = normalize_dynamic_range(synthesize_cvfbm(0.7, 16, 16, 8), 0.05)
+        _, info = bp_reconstruct(subsample(f, random_mask(16, 16, 100, seed=1)))
+        assert info["objective"] == pytest.approx(3.16312, rel=1e-3)
+
     def test_not_converged_at_cap(self):
         f = random_field(16, 16, seed=40)
         cfg = EqualitySolverConfig(max_iters=3)
@@ -377,7 +386,7 @@ def rolled_tv_equality_reconstruct(samples, cfg):
         e = e_new
         if it % 25 == 24:
             primal = np.linalg.norm(op.forward(e) - y) / y_norm
-            if primal <= _TV_TOL and step <= _TV_TOL * max(np.linalg.norm(e), 1e-30):
+            if primal <= _EQUALITY_TOL and step <= _EQUALITY_TOL * max(np.linalg.norm(e), 1e-30):
                 iterations = it + 1
                 converged = True
                 break
@@ -443,9 +452,18 @@ class TestTvEqualityBitIdentical:
         p[:, 5:7] = 0.0
         mag = np.sqrt(np.abs(p[0]) ** 2 + np.abs(p[1]) ** 2)
         ref = p / np.maximum(1.0, mag)
-        np.maximum(1.0, mag, out=mag)
-        np.divide(1.0, mag, out=mag)
-        assert np.array_equal(p * mag, ref)
+        _clip(p, mag)
+        assert np.array_equal(p, ref)
+
+    def test_clip_step_on_one_component_duals(self):
+        # cs-bp's dual, clipped to the unit complex disc
+        rng = np.random.default_rng(14)
+        z = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+        z[:5] *= 1e-3
+        z[5:7] = 0.0
+        ref = z / np.maximum(1.0, np.abs(z))
+        _clip(z, np.abs(z))
+        assert np.array_equal(z, ref)
 
 
 class TestTvEquality:

@@ -61,6 +61,25 @@ class TestRenderStar:
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             render_star(RadialProfile("gaussian"), size=21, **args)
 
+    @pytest.mark.parametrize("name", ["e1", "e2"])
+    @pytest.mark.parametrize("value", ["0.1", True])
+    def test_non_number_ellipticity_rejected(self, name, value):
+        args = dict(e1=0.0, e2=0.0)
+        args[name] = value
+        with pytest.raises(ValueError, match=f"^bad {name} value"):
+            render_star(RadialProfile("gaussian"), size=9, **args)
+
+    @pytest.mark.parametrize("size", [2.5, 9.0, True])
+    def test_non_integer_size_rejected(self, size):
+        # 2.5 would pass the odd-size check and render a 3x3 image
+        with pytest.raises(ValueError, match="^bad size value"):
+            render_star(RadialProfile("gaussian"), 0.0, 0.0, size)
+
+    @pytest.mark.parametrize("size", [-3, -1])
+    def test_negative_size_rejected(self, size):
+        with pytest.raises(ValueError, match="size must be odd and positive"):
+            render_star(RadialProfile("gaussian"), 0.0, 0.0, size)
+
 
 class TestRadialProfile:
     @pytest.mark.parametrize("kind", ["gaussian", "moffat", "airy"])
@@ -69,6 +88,13 @@ class TestRadialProfile:
     def test_non_finite_parameter_rejected(self, kind, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             RadialProfile(kind, **{name: value})
+
+    @pytest.mark.parametrize("name", ["scale", "beta"])
+    @pytest.mark.parametrize("value", [True, "3"])
+    def test_non_number_parameter_rejected(self, name, value):
+        # True would build a profile of scale 1
+        with pytest.raises(ValueError, match=f"^bad {name} value"):
+            RadialProfile(**{name: value})
 
 
 class TestBrightnessMoments:
