@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SampleSet, check_int, check_real
+from .grid import SampleSet, check_fields
 
 __all__ = [
     "BoxcarConfig",
@@ -23,7 +23,7 @@ class BoxcarConfig:
     range_adjust: str = "affine"
 
     def __post_init__(self):
-        check_int(self.window, "window")
+        check_fields(self)
         if self.window < 1 or self.window % 2 == 0:
             raise ValueError("window must be an odd positive integer")
         if self.range_adjust not in ("none", "affine"):
@@ -107,10 +107,9 @@ class ThinPlateConfig:
     p: float | None = None
 
     def __post_init__(self):
-        if self.p is not None:
-            check_real(self.p, "p")
-            if not 0.0 < self.p <= 1.0:
-                raise ValueError("p must lie in (0, 1]")
+        check_fields(self)
+        if self.p is not None and not 0.0 < self.p <= 1.0:
+            raise ValueError("p must lie in (0, 1]")
 
 
 def default_smoothing_p(positions: np.ndarray) -> float:

@@ -26,6 +26,7 @@ from .fileio import (
     write_pgm,
     write_samples_csv,
 )
+from .grid import field_types
 from .harness import (
     METHODS,
     REGISTRY,
@@ -115,16 +116,14 @@ def _cmd_recon(args) -> int:
     # at None keeps the config's own default, and one that sets a field of
     # another method's config only is an error, not a silent no-op
     cls = SECTIONS[section]
-    own = {f.name for f in dataclasses.fields(cls)}
-    given = {
-        f.name: getattr(args, f.name)
-        for config in SECTIONS.values()
-        for f in dataclasses.fields(config)
-        if getattr(args, f.name, None) is not None
+    flag = {
+        attr: "--" + name.replace("_", "-") for config in SECTIONS.values() for attr, _, name in field_types(config)
     }
-    foreign = [name for name in given if name not in own]
+    given = {attr: getattr(args, attr) for attr in flag if getattr(args, attr, None) is not None}
+    own = {f.name for f in dataclasses.fields(cls)}
+    foreign = [attr for attr in given if attr not in own]
     if foreign:
-        flags = ", ".join("--lambda" if n == "lam" else "--" + n.replace("_", "-") for n in foreign)
+        flags = ", ".join(flag[attr] for attr in foreign)
         raise ValueError(f"{flags}: no such setting for --method {args.method}")
     cfg = cls(**given)
     # a samples CSV says nothing about the field's boundary, so solve as free

@@ -24,11 +24,11 @@ spectrum has small total variation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import SampleSet, as_field, check_int, check_real, dft2, idft2, mirror_extend_samples, take_quadrant
+from .grid import SampleSet, as_field, check, check_fields, dft2, idft2, mirror_extend_samples, take_quadrant
 from .sampling import MeasurementOperator
 
 __all__ = [
@@ -115,7 +115,7 @@ def tv_denoise(field, weight: float, iters: int = 30, return_gap: bool = False):
     f = as_field(field)
     if not (np.isfinite(weight) and weight > 0):
         raise ValueError("weight must be positive and finite")
-    check_int(iters, "iters")
+    iters = check(iters, int, "iters")
     if iters < 1:
         raise ValueError("iters must be at least 1")
     tau = 0.125
@@ -163,7 +163,7 @@ class EqualitySolverConfig:
     max_iters: int = 600
 
     def __post_init__(self):
-        check_int(self.max_iters, "max_iters")
+        check_fields(self)
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
 
@@ -328,23 +328,19 @@ _BETA = _ALPHA * 2.0 / (_KAPPA + 1.0)
 @dataclass(frozen=True)
 class TwistConfig:
     # None means lambda = AUTO_LAMBDA_FACTOR * ||A^H y||_inf for the data.
-    lam: float | None = None
+    lam: float | None = field(default=None, metadata={"name": "lambda"})
     max_iters: int = 500
     tol: float = 1e-6
     tv_inner_iters: int = 10
 
     def __post_init__(self):
-        if self.lam is not None:
-            check_real(self.lam, "lambda")
-            if not (np.isfinite(self.lam) and self.lam > 0):
-                raise ValueError("lambda must be positive and finite")
-        check_real(self.tol, "tol")
+        check_fields(self)
+        if self.lam is not None and not (np.isfinite(self.lam) and self.lam > 0):
+            raise ValueError("lambda must be positive and finite")
         if not 0.0 < self.tol < 1.0:
             raise ValueError("tol must lie in (0, 1)")
-        check_int(self.max_iters, "max_iters")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        check_int(self.tv_inner_iters, "tv_inner_iters")
         if self.tv_inner_iters < 1:
             raise ValueError("tv_inner_iters must be at least 1")
 
@@ -425,7 +421,7 @@ def twist_reconstruct(
     gap = float(np.linalg.norm(x - g_final) / max(np.linalg.norm(x), 1e-30))
     info = {
         "iterations": iterations,
-        "lambda": float(lam),
+        "lambda": lam,
         "objective": float(objectives[-1]),
         "objective_trace": objectives,
         "data_residual": float(np.linalg.norm(r) / max(np.linalg.norm(y), 1e-30)),

@@ -6,7 +6,10 @@ mutates its input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cache
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -62,23 +65,61 @@ def take_quadrant(f) -> np.ndarray:
     return f[: rows // 2, : cols // 2].copy()
 
 
-def check_int(value, name: str) -> None:
-    """ValueError naming ``name`` unless ``value`` is a Python or numpy integer.
+def _kind(tp) -> str:
+    """The values that annotation ``tp`` takes, as an error message names them."""
+    if get_origin(tp) is tuple:
+        args = get_args(tp)
+        return "a list" if args[-1:] == (Ellipsis,) else f"a list of {len(args)}"
+    return {int: "an integer", float: "a number", bool: "a bool", str: "a string"}.get(tp, tp.__name__)
 
-    A bool is no integer here, and neither is a float, even a whole or NaN one.
+
+def check(value, tp, name: str):
+    """``value`` as a value of annotation ``tp``; ValueError naming ``name`` if it is of another kind.
+
+    ``tp`` is int, float, bool, a class such as str, a tuple type (a list
+    passes too) or ``X | None``. A bool is no number and a string no number;
+    a float, even a whole or NaN one, is no integer, and an integer becomes a
+    float where a float belongs. numpy ints, floats and bools pass and come
+    back as Python values. NaN and inf pass, for the caller's range checks to
+    reject.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"bad {name} value {value!r}: expected an integer")
+    if tp is int:
+        if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+            return int(value)
+    elif tp is float:
+        if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+            return float(value)
+    elif tp is bool:
+        if isinstance(value, (bool, np.bool_)):
+            return bool(value)
+    elif get_origin(tp) is UnionType:
+        return None if value is None else check(value, get_args(tp)[0], name)
+    elif get_origin(tp) is tuple:
+        if isinstance(value, (list, tuple)):
+            args = get_args(tp)
+            arms = args[:1] * len(value) if args[-1:] == (Ellipsis,) else args
+            if len(arms) == len(value):
+                return tuple(check(v, arm, name) for v, arm in zip(value, arms))
+    elif isinstance(value, tp):
+        return value
+    raise ValueError(f"bad {name} value {value!r}: expected {_kind(tp)}")
 
 
-def check_real(value, name: str) -> None:
-    """ValueError naming ``name`` unless ``value`` is a Python or numpy int or float.
+@cache
+def field_types(cls) -> tuple:
+    """(attribute, annotation, name) of each field of dataclass ``cls``.
 
-    A bool is no number here, and neither is a string. NaN and inf pass, for
-    the caller's range checks to reject.
+    The name is the field's metadata "name" if it has one, else the attribute:
+    errors, spec JSON keys and CLI flags call the field by it.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"bad {name} value {value!r}: expected a number")
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name], f.metadata.get("name", f.name)) for f in fields(cls))
+
+
+def check_fields(obj) -> None:
+    """Store :func:`check` of each field of the frozen dataclass ``obj`` in place of its value."""
+    for attr, tp, name in field_types(type(obj)):
+        object.__setattr__(obj, attr, check(getattr(obj, attr), tp, name))
 
 
 def flat_positions(positions, rows: int, cols: int) -> np.ndarray:

@@ -18,8 +18,6 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
-from types import UnionType
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -38,7 +36,7 @@ from .cs import (
     twist_reconstruct,
 )
 from .fileio import field_from_bytes, field_to_bytes, mask_to_bytes
-from .grid import check_int, check_real
+from .grid import check, check_fields, field_types
 from .metrics import rmse as rmse_metric, snr_db as snr_metric
 from .sampling import mask_from_draw, subsample
 from .synthesis import normalize_dynamic_range, synthesize_cvfbm
@@ -91,10 +89,9 @@ class SynthesisOptions:
     periodic: bool = True
 
     def __post_init__(self):
+        check_fields(self)
         if self.envelope not in ("amplitude", "power"):
             raise ValueError(f"unknown envelope {self.envelope!r}")
-        if not isinstance(self.periodic, (bool, np.bool_)):
-            raise ValueError(f"bad periodic value {self.periodic!r}: expected a bool")
 
 
 @dataclass(frozen=True)
@@ -114,17 +111,8 @@ class ExperimentSpec:
     equality: EqualitySolverConfig = EqualitySolverConfig()
 
     def __post_init__(self):
+        check_fields(self)
         rows, cols = self.grid
-        integers = {
-            "grid": self.grid,
-            "repeats": (self.repeats,),
-            "base_seed": (self.base_seed,),
-            "sample_counts": self.sample_counts or (),
-            "subsampling_factors": self.subsampling_factors or (),
-        }
-        for name, values in integers.items():
-            for value in values:
-                check_int(value, name)
         if rows < 2 or cols < 2:
             raise ValueError("grid too small")
         if not self.hurst_values:
@@ -143,7 +131,6 @@ class ExperimentSpec:
         if self.subsampling_factors is not None and min(self.subsampling_factors) < 1:
             raise ValueError("subsampling factors must be at least 1")
         for h in self.hurst_values:
-            check_real(h, "hurst_values")
             if not 0.0 < h < 1.0:
                 raise ValueError(f"hurst_values must lie in (0, 1), got {h}")
         if self.base_seed < 0:
@@ -157,16 +144,14 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must not repeat a value, got {values}")
         if len(set(self.counts)) < len(self.counts):
             raise ValueError(f"{given} must give distinct sample counts, got {self.counts}")
-        if self.target_rms is not None:
-            check_real(self.target_rms, "target_rms")
-            if not (np.isfinite(self.target_rms) and self.target_rms > 0):
-                raise ValueError("target_rms must be positive and finite")
+        if self.target_rms is not None and not (np.isfinite(self.target_rms) and self.target_rms > 0):
+            raise ValueError("target_rms must be positive and finite")
 
     @property
     def counts(self) -> tuple[int, ...]:
         total = self.grid[0] * self.grid[1]
         if self.sample_counts is not None:
-            return tuple(self.sample_counts)
+            return self.sample_counts
         return tuple(total // f for f in self.subsampling_factors)
 
 
@@ -225,59 +210,19 @@ def table2_spec(**overrides) -> ExperimentSpec:
 SECTIONS = {f.name: type(f.default) for f in fields(ExperimentSpec) if is_dataclass(f.default)}
 
 
-def _json_key(name: str) -> str:
-    return "lambda" if name == "lam" else name
-
-
-def _typed(value, tp):
-    """A JSON value as a field of type ``tp``; TypeError if it is not one.
-
-    Exact JSON types only: a bool is no int, a float no int, a string no
-    number. An int is accepted where a float is expected.
-    """
-    origin, args = get_origin(tp), get_args(tp)
-    if origin is UnionType:
-        for arm in args:
-            try:
-                return _typed(value, arm)
-            except TypeError:
-                pass
-    elif origin is tuple and isinstance(value, list):
-        arms = args[:1] * len(value) if args[-1:] == (Ellipsis,) else args
-        if len(arms) == len(value):
-            return tuple(_typed(v, arm) for v, arm in zip(value, arms))
-    elif tp is type(None):
-        if value is None:
-            return None
-    elif tp is float:
-        if type(value) in (int, float):
-            return float(value)
-    elif type(value) is tp:
-        return value
-    raise TypeError(tp)
-
-
-def _checked(value, tp, key: str):
-    try:
-        return _typed(value, tp)
-    except TypeError:
-        expected = tp.__name__ if isinstance(tp, type) else str(tp)
-        raise ValueError(f"bad {key} value {value!r}: expected {expected}") from None
-
-
 def _section_from_json(section: str, cls, sub):
     if not isinstance(sub, dict):
         raise ValueError(f"{section} must be a JSON object")
-    names = {_json_key(f.name): f.name for f in fields(cls)}
-    bad = set(sub) - set(names)
+    by_key = {name: (attr, tp) for attr, tp, name in field_types(cls)}
+    bad = set(sub) - set(by_key)
     if bad:
         raise ValueError(f"unknown {section} keys: {sorted(bad)}")
-    hints = get_type_hints(cls)
     kwargs = {}
     for key, value in sub.items():
         if key == "lambda" and value == "auto":
             value = None
-        kwargs[names[key]] = _checked(value, hints[names[key]], f"{section}.{key}")
+        attr, tp = by_key[key]
+        kwargs[attr] = check(value, tp, f"{section}.{key}")
     return cls(**kwargs)
 
 
@@ -289,11 +234,11 @@ def spec_from_json(text: str) -> ExperimentSpec:
     if unknown:
         raise ValueError(f"unknown spec keys: {sorted(unknown)}")
 
-    hints = get_type_hints(ExperimentSpec)
+    hints = {attr: tp for attr, tp, _ in field_types(ExperimentSpec)}
     kwargs: dict = {}
     for key, value in raw.items():
         if key not in SECTIONS:
-            kwargs[key] = _checked(value, hints[key], key)
+            kwargs[key] = check(value, hints[key], key)
         elif value is not None:
             kwargs[key] = _section_from_json(key, SECTIONS[key], value)
     if not kwargs:
@@ -304,21 +249,14 @@ def spec_from_json(text: str) -> ExperimentSpec:
     return ExperimentSpec(**kwargs)
 
 
-def _json_default(value):
-    """json.dumps hook: a numpy scalar, which the spec accepts, as its Python value."""
-    if isinstance(value, np.generic):
-        return value.item()
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def spec_to_json(spec: ExperimentSpec) -> str:
     d = asdict(spec)
     for key in ("sample_counts", "subsampling_factors"):
         if d[key] is None:
             del d[key]
-    for section in SECTIONS:
-        d[section] = {_json_key(k): v for k, v in d[section].items()}
-    return json.dumps(d, indent=2, sort_keys=True, default=_json_default)
+    for section, cls in SECTIONS.items():
+        d[section] = {name: d[section][attr] for attr, _, name in field_types(cls)}
+    return json.dumps(d, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +399,7 @@ def _run_campaign(spec: ExperimentSpec, policy: str, out_dir=None, jobs: int = 1
     # repeat's end would be trimmed from the heap and faulted back in by the
     # next, at a cost that shifts with the heap's layout from run to run. Only
     # the store reads reconstructions, so without one they are not kept
-    check_int(jobs, "jobs")
+    jobs = check(jobs, int, "jobs")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     store = _ArtifactStore(out_dir) if out_dir is not None else None
@@ -593,6 +531,6 @@ class _ArtifactStore:
         return field_from_bytes((self.store / name).read_bytes())
 
     def write_manifest(self, manifest: list) -> None:
-        text = json.dumps(manifest, indent=2, sort_keys=True, default=_json_default)
+        text = json.dumps(manifest, indent=2, sort_keys=True)
         (self.root / "manifest.json").write_text(text + "\n")
 

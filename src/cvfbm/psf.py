@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import check_int, check_real
+from .grid import check, check_fields
 
 __all__ = [
     "shear_coords",
@@ -48,10 +48,10 @@ class RadialProfile:
     beta: float = 3.0
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in ("gaussian", "moffat", "airy"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
         for name in ("scale", "beta"):
-            check_real(getattr(self, name), name)
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.scale <= 0:
@@ -79,11 +79,11 @@ def render_star(profile: RadialProfile, e1: float, e2: float, size: int) -> np.n
     Pixel (row, col) is evaluated at its center; the image x axis is the
     column offset from center, y the row offset.
     """
-    check_int(size, "size")
+    size = check(size, int, "size")
     if size < 1 or size % 2 == 0:
         raise ValueError(f"star image size must be odd and positive, got {size}")
+    e1, e2 = check(e1, float, "e1"), check(e2, float, "e2")
     for name, value in (("e1", e1), ("e2", e2)):
-        check_real(value, name)
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite")
     if np.hypot(e1, e2) >= 1.0:
@@ -122,6 +122,7 @@ class MomentTensor:
     q22: float
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("q11", "q12", "q22"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -176,7 +177,9 @@ def ellipticity_from_moments(q: MomentTensor, form: str = "squared") -> complex:
         raise ValueError(f"unknown form {form!r}")
     if den <= 0:
         raise ValueError("non-positive moment denominator")
-    return complex(num / den)
+    # numpy's complex division (num times 1/den), not Python's, which can
+    # round the last bit the other way
+    return complex(np.divide(num, den))
 
 
 def psf_radius(q: MomentTensor) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import SampleSet, as_field, flat_positions
+from .grid import SampleSet, as_field, check, flat_positions
 
 __all__ = [
     "random_mask",
@@ -37,6 +37,7 @@ def random_mask(rows: int, cols: int, n_sub: int, seed) -> np.ndarray:
 
     Deterministic in ``seed``; returned in canonical row-major order.
     """
+    n_sub = check(n_sub, int, "n_sub")
     rng = np.random.default_rng(seed)
     return mask_from_draw(rows, cols, n_sub, lambda n: rng.choice(rows * cols, size=n, replace=False))
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import as_field, dft2, idft2, radial_sq, take_quadrant
+from .grid import as_field, check, dft2, idft2, radial_sq, take_quadrant
 
 __all__ = [
     "synthesize_cvfbm",
@@ -17,11 +17,15 @@ __all__ = [
 ]
 
 
-def _check_hurst(h: float) -> float:
-    h = float(h)
+def _check_args(h: float, rows: int, cols: int, what: str) -> tuple[float, int, int]:
+    """The hurst parameter and grid shape, checked; ``what`` names the grid in the size error."""
+    h = check(h, float, "h")
     if not 0.0 < h < 1.0:
         raise ValueError(f"hurst parameter must lie in (0, 1), got {h}")
-    return h
+    rows, cols = check(rows, int, "rows"), check(cols, int, "cols")
+    if rows < 2 or cols < 2:
+        raise ValueError(f"{what} needs at least a 2x2 grid")
+    return h, rows, cols
 
 
 def spectral_envelope(h: float, rows: int, cols: int, kind: str = "amplitude") -> np.ndarray:
@@ -31,9 +35,7 @@ def spectral_envelope(h: float, rows: int, cols: int, kind: str = "amplitude") -
     kind="power" treats the law as a power spectrum, so magnitudes get the
     square root, exponent (2H+1)/2.
     """
-    h = _check_hurst(h)
-    if rows < 2 or cols < 2:
-        raise ValueError("envelope needs at least a 2x2 grid")
+    h, rows, cols = _check_args(h, rows, cols, "envelope")
     if kind not in ("amplitude", "power"):
         raise ValueError(f"unknown envelope kind {kind!r}")
     expo = 2.0 * h + 1.0
@@ -70,9 +72,7 @@ def synthesize_cvfbm(
     crop produces. Use this when downstream processing supplies its own
     boundary handling (e.g. mirror extension).
     """
-    h = _check_hurst(h)
-    if rows < 2 or cols < 2:
-        raise ValueError("field needs at least a 2x2 grid")
+    h, rows, cols = _check_args(h, rows, cols, "field")
     rng = np.random.default_rng(seed)
     if periodic:
         m, n = rows, cols
@@ -88,6 +88,7 @@ def synthesize_cvfbm(
 def normalize_dynamic_range(field, target_rms: float) -> np.ndarray:
     """Rescale so the RMS of the complex magnitudes equals target_rms."""
     f = as_field(field)
+    target_rms = check(target_rms, float, "target_rms")
     if not (np.isfinite(target_rms) and target_rms > 0):
         raise ValueError("target_rms must be positive and finite")
     rms = np.sqrt(np.mean(np.abs(f) ** 2))

@@ -217,22 +217,45 @@ class TestSpecValidation:
         make(np.int64(good))
 
     @pytest.mark.parametrize(
-        "name, make, bads, good",
+        "name, make, bads, good, expected",
         [
-            ("hurst_values", lambda v: tiny_spec(hurst_values=(v,)), (True, "0.5"), np.float32(0.5)),
-            ("target_rms", lambda v: tiny_spec(target_rms=v), (True, "0.05"), np.float32(0.05)),
-            ("p", lambda v: ThinPlateConfig(p=v), (True, "0.5"), np.float32(0.5)),
-            ("lambda", lambda v: TwistConfig(lam=v), (True, "0.25"), np.int64(1)),
-            ("tol", lambda v: TwistConfig(tol=v), (True, "1e-6"), np.float32(1e-6)),
-            ("periodic", lambda v: SynthesisOptions(periodic=v), ("false", 0, None), np.False_),
+            ("hurst_values", lambda v: tiny_spec(hurst_values=(v,)), (True, "0.5"), np.float32(0.5), "a number"),
+            ("target_rms", lambda v: tiny_spec(target_rms=v), (True, "0.05"), np.float32(0.05), "a number"),
+            ("p", lambda v: ThinPlateConfig(p=v), (True, "0.5"), np.float32(0.5), "a number"),
+            ("lambda", lambda v: TwistConfig(lam=v), (True, "0.25"), np.int64(1), "a number"),
+            ("tol", lambda v: TwistConfig(tol=v), (True, "1e-6"), np.float32(1e-6), "a number"),
+            ("periodic", lambda v: SynthesisOptions(periodic=v), ("false", 0, None), np.False_, "a bool"),
+            ("grid", lambda v: tiny_spec(grid=v), (12, (12, 12, 12), "1212", None), [12, np.int64(12)], "a list of 2"),
+            ("hurst_values", lambda v: tiny_spec(hurst_values=v), (0.5, "0.5", None), [0.5], "a list"),
+            ("methods", lambda v: tiny_spec(methods=v), ("box", None), ["box"], "a list"),
+            ("methods", lambda v: tiny_spec(methods=(v,)), (1, None, b"box"), "box", "a string"),
+            ("sample_counts", lambda v: tiny_spec(sample_counts=v), (30, "30"), [np.int64(30)], "a list"),
+            (
+                "subsampling_factors",
+                lambda v: tiny_spec(sample_counts=None, subsampling_factors=v),
+                (2, "2"),
+                [np.int64(2)],
+                "a list",
+            ),
+            ("envelope", lambda v: SynthesisOptions(envelope=v), (1, None), "power", "a string"),
+            ("range_adjust", lambda v: BoxcarConfig(range_adjust=v), (1, None), "none", "a string"),
+            ("synthesis", lambda v: tiny_spec(synthesis=v), ({}, 1), SynthesisOptions(), "SynthesisOptions"),
+            ("boxcar", lambda v: tiny_spec(boxcar=v), (ThinPlateConfig(), None), BoxcarConfig(), "BoxcarConfig"),
+            ("thin_plate", lambda v: tiny_spec(thin_plate=v), ({}, None), ThinPlateConfig(), "ThinPlateConfig"),
+            ("twist", lambda v: tiny_spec(twist=v), ({}, None), TwistConfig(), "TwistConfig"),
+            ("equality", lambda v: tiny_spec(equality=v), ({}, None), EqualitySolverConfig(), "EqualitySolverConfig"),
         ],
-        ids=["hurst_values", "target_rms", "thin_plate.p", "twist.lambda", "twist.tol", "periodic"],
+        ids=[
+            "hurst_values", "target_rms", "thin_plate.p", "twist.lambda", "twist.tol", "periodic", "grid",
+            "hurst_values-bare", "methods", "methods-item", "sample_counts", "subsampling_factors", "envelope",
+            "range_adjust", "synthesis", "boxcar", "thin_plate", "twist", "equality",
+        ],
     )
-    def test_fields_reject_values_of_another_kind(self, name, make, bads, good):
+    def test_fields_reject_values_of_another_kind(self, name, make, bads, good, expected):
         # a bool must not be taken as 1.0, a truthy string must not switch
-        # periodic on, and a string must not fail later with a TypeError
-        # that names no field; the spec JSON refuses all of these already
-        expected = "a bool" if name == "periodic" else "a number"
+        # periodic on, and a string or a bare value where a tuple belongs
+        # must not fail later with a TypeError that names no field; the spec
+        # JSON refuses all of these already
         for bad in bads:
             with pytest.raises(ValueError, match=re.escape(f"bad {name} value {bad!r}: expected {expected}")):
                 make(bad)
@@ -285,6 +308,58 @@ NON_DEFAULT_SECTIONS = dict(
 
 
 SMALL_SPEC = {"grid": [8, 8], "hurst_values": [0.5], "methods": ["box"], "repeats": 1, "sample_counts": [10]}
+
+# every scalar and tuple field of the spec and of its config sections: JSON
+# section (None at the top level), attribute, JSON key, a numpy value of the
+# field's kind (None for a string field) and a JSON value of another kind
+FIELD_KINDS = [
+    (None, "grid", "grid", (np.int64(12), np.int32(12)), [12, "12"]),
+    (None, "hurst_values", "hurst_values", (np.float32(0.5), np.float64(0.8)), 0.5),
+    (None, "methods", "methods", None, [1]),
+    (None, "repeats", "repeats", np.int64(2), 2.5),
+    (None, "base_seed", "base_seed", np.uint8(1), True),
+    (None, "sample_counts", "sample_counts", (np.int64(30),), [30.0]),
+    (None, "subsampling_factors", "subsampling_factors", (np.int16(2),), 2),
+    (None, "target_rms", "target_rms", np.float32(0.05), "0.05"),
+    ("synthesis", "envelope", "envelope", None, 1),
+    ("synthesis", "periodic", "periodic", np.False_, 0),
+    ("boxcar", "window", "window", np.int64(5), 5.0),
+    ("boxcar", "range_adjust", "range_adjust", None, False),
+    ("thin_plate", "p", "p", np.float32(0.5), "0.5"),
+    ("twist", "lam", "lambda", np.float32(0.25), False),
+    ("twist", "max_iters", "max_iters", np.uint16(5), 5.5),
+    ("twist", "tol", "tol", np.float16(0.25), True),
+    ("twist", "tv_inner_iters", "tv_inner_iters", np.int8(5), "5"),
+    ("equality", "max_iters", "max_iters", np.int64(50), [50]),
+]
+
+
+def _field_cases(cases):
+    return pytest.mark.parametrize(
+        "section, attr, key, value, bad", cases, ids=[f"{s or 'spec'}.{k}" for s, _, k, _, _ in cases]
+    )
+
+
+class TestFieldKinds:
+    @_field_cases([case for case in FIELD_KINDS if case[3] is not None])
+    def test_numpy_scalars_stored_as_python_values(self, section, attr, key, value, bad):
+        if section is not None:
+            stored = getattr(harness_module.SECTIONS[section](**{attr: value}), attr)
+        elif attr == "subsampling_factors":
+            stored = getattr(tiny_spec(sample_counts=None, subsampling_factors=value), attr)
+        else:
+            stored = getattr(tiny_spec(**{attr: value}), attr)
+        pairs = zip(stored, value) if isinstance(value, tuple) else [(stored, value)]
+        for got, given in pairs:
+            assert got == given
+            assert type(got) is type(given.item())
+
+    @_field_cases(FIELD_KINDS)
+    def test_spec_json_names_the_field(self, section, attr, key, value, bad):
+        raw = {**SMALL_SPEC, key: bad} if section is None else {**SMALL_SPEC, section: {key: bad}}
+        name = key if section is None else f"{section}.{key}"
+        with pytest.raises(ValueError, match=rf"^bad {re.escape(name)} value .*: expected "):
+            spec_from_json(json.dumps(raw))
 
 
 class TestSpecJson:

@@ -1,5 +1,7 @@
 """Star rendering, brightness moments, and ellipticity recovery."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,11 @@ class TestRadialProfile:
         # True would build a profile of scale 1
         with pytest.raises(ValueError, match=f"^bad {name} value"):
             RadialProfile(**{name: value})
+
+    def test_numpy_parameters_stored_as_floats(self):
+        profile = RadialProfile("moffat", scale=np.float32(2.5), beta=np.int64(3))
+        assert (profile.scale, profile.beta) == (2.5, 3.0)
+        assert type(profile.scale) is float and type(profile.beta) is float
 
 
 class TestBrightnessMoments:
@@ -256,6 +263,26 @@ class TestMomentTensor:
         args[name] = value
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             MomentTensor(**args)
+
+    @pytest.mark.parametrize("name", ["q11", "q12", "q22"])
+    @pytest.mark.parametrize("value", ["1", True, None])
+    def test_non_number_moment_rejected(self, name, value):
+        # a string failed in numpy with a TypeError that named no moment
+        args = dict(q11=2.0, q12=0.5, q22=1.0)
+        args[name] = value
+        with pytest.raises(ValueError, match=f"^bad {name} value {re.escape(repr(value))}: expected a number$"):
+            MomentTensor(**args)
+
+    def test_numpy_moments_stored_as_floats(self):
+        q = brightness_moments(render_star(RadialProfile("gaussian"), 0.2, -0.1, 9))
+        assert {type(v) for v in (q.q11, q.q12, q.q22)} == {float}
+
+    def test_ellipticity_keeps_numpy_rounding(self):
+        # the moments were numpy floats when these digits were fixed, so the
+        # division is numpy's (num times 1/den); Python's complex division
+        # rounds both parts' last bit the other way here
+        q = brightness_moments(render_star(RadialProfile("gaussian"), 0.2, -0.1, 9))
+        assert ellipticity_from_moments(q) == complex(0.1961271900111237, -0.017869123054784213)
 
 
 class TestRoundTrip:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,13 @@ class TestRandomMask:
         for n in (-1, 0, 17):
             with pytest.raises(ValueError, match="out of range"):
                 random_mask(4, 4, n, seed=0)
+
+    @pytest.mark.parametrize("n_sub", [2.5, 3.0, "3", True, None])
+    def test_count_of_another_kind_rejected(self, n_sub):
+        # these failed in numpy with a TypeError that named no argument
+        with pytest.raises(ValueError, match=f"^bad n_sub value {re.escape(repr(n_sub))}: expected an integer$"):
+            random_mask(8, 8, n_sub, seed=0)
+        assert np.array_equal(random_mask(8, 8, np.int64(3), seed=0), random_mask(8, 8, 3, seed=0))
 
     def test_single_draws_uniform(self):
         # 1e4 single-cell draws on a 10x10 grid: every cell within 4 sigma of 100

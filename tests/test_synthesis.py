@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,27 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             synthesize_cvfbm(1.0, 16, 16, 0)
 
+    @pytest.mark.parametrize("make", [synthesize_cvfbm, spectral_envelope], ids=["synthesize", "envelope"])
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("0.5", 8, 8), "bad h value '0.5': expected a number"),
+            ((True, 8, 8), "bad h value True: expected a number"),
+            ((0.5, 8.0, 8), "bad rows value 8.0: expected an integer"),
+            ((0.5, 8, 2.5), "bad cols value 2.5: expected an integer"),
+            ((0.5, 8, "8"), "bad cols value '8': expected an integer"),
+        ],
+    )
+    def test_arguments_of_another_kind_rejected(self, make, args, message):
+        # a string hurst value was parsed, and a float size failed in numpy
+        # with a TypeError that named no argument
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make(*args, 0) if make is synthesize_cvfbm else make(*args)
+
+    def test_numpy_arguments_accepted(self):
+        want = synthesize_cvfbm(0.5, 8, 8, 0)
+        assert np.array_equal(synthesize_cvfbm(np.float32(0.5), np.int64(8), np.int32(8), 0), want)
+
 
 class TestNormalizeDynamicRange:
     def test_scales_to_target(self):
@@ -144,3 +167,10 @@ class TestNormalizeDynamicRange:
     def test_zero_field_rejected(self):
         with pytest.raises(ValueError):
             normalize_dynamic_range(np.zeros((4, 4), dtype=complex), 0.05)
+
+    @pytest.mark.parametrize("target_rms", [True, "0.05", None])
+    def test_target_rms_of_another_kind_rejected(self, target_rms):
+        # True scaled the field as if the target were 1
+        message = f"bad target_rms value {target_rms!r}: expected a number"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            normalize_dynamic_range(np.ones((4, 4)), target_rms)
