@@ -60,14 +60,7 @@ def _emit(obj) -> None:
 
 
 def _cmd_synth(args) -> int:
-    field = synthesize_cvfbm(
-        args.hurst,
-        args.rows,
-        args.cols,
-        args.seed,
-        envelope=args.envelope,
-        periodic=not args.free_boundary,
-    )
+    field = synthesize_cvfbm(args.hurst, args.rows, args.cols, args.seed, periodic=not args.free_boundary)
     if args.target_rms is not None:
         field = normalize_dynamic_range(field, args.target_rms)
     write_cvf1(args.out, field)
@@ -208,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, default=100)
     p.add_argument("--cols", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--envelope", choices=("amplitude", "power"), default="amplitude")
     p.add_argument(
         "--free-boundary",
         action="store_true",

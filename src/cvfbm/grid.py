@@ -88,7 +88,10 @@ def check(value, tp, name: str):
             return int(value)
     elif tp is float:
         if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:
+                pass  # an integer too large for a float is no number either
     elif tp is bool:
         if isinstance(value, (bool, np.bool_)):
             return bool(value)
@@ -148,6 +151,8 @@ class SampleSet:
     values: np.ndarray
 
     def __post_init__(self):
+        for name in ("rows", "cols"):
+            object.__setattr__(self, name, check(getattr(self, name), int, name))
         pos = np.asarray(self.positions, dtype=np.int64).reshape(-1, 2)
         val = np.asarray(self.values, dtype=np.complex128).reshape(-1)
         if len(pos) != len(val):

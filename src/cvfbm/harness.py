@@ -85,13 +85,10 @@ def derive_seed(base_seed: int, *key: int) -> int:
 
 @dataclass(frozen=True)
 class SynthesisOptions:
-    envelope: str = "amplitude"
     periodic: bool = True
 
     def __post_init__(self):
         check_fields(self)
-        if self.envelope not in ("amplitude", "power"):
-            raise ValueError(f"unknown envelope {self.envelope!r}")
 
 
 @dataclass(frozen=True)
@@ -180,7 +177,7 @@ def table1_spec(**overrides) -> ExperimentSpec:
         methods=("cs-tv",),
         repeats=10,
         base_seed=0,
-        synthesis=SynthesisOptions(envelope="amplitude", periodic=False),
+        synthesis=SynthesisOptions(periodic=False),
     )
     base.update(overrides)
     return ExperimentSpec(**base)
@@ -196,7 +193,7 @@ def table2_spec(**overrides) -> ExperimentSpec:
         repeats=5,
         base_seed=0,
         target_rms=0.05,
-        synthesis=SynthesisOptions(envelope="amplitude", periodic=True),
+        synthesis=SynthesisOptions(periodic=True),
         boxcar=BoxcarConfig(window=11, range_adjust="affine"),
     )
     base.update(overrides)
@@ -269,14 +266,7 @@ def _cell_truth(spec: ExperimentSpec, policy: str, h_idx: int, rep: int) -> tupl
     else:
         seed = derive_seed(spec.base_seed, _FIELD_STREAM, h_idx, rep)
     rows, cols = spec.grid
-    field = synthesize_cvfbm(
-        spec.hurst_values[h_idx],
-        rows,
-        cols,
-        seed,
-        envelope=spec.synthesis.envelope,
-        periodic=spec.synthesis.periodic,
-    )
+    field = synthesize_cvfbm(spec.hurst_values[h_idx], rows, cols, seed, periodic=spec.synthesis.periodic)
     if spec.target_rms is not None:
         field = normalize_dynamic_range(field, spec.target_rms)
     return field, seed

@@ -37,7 +37,7 @@ def random_mask(rows: int, cols: int, n_sub: int, seed) -> np.ndarray:
 
     Deterministic in ``seed``; returned in canonical row-major order.
     """
-    n_sub = check(n_sub, int, "n_sub")
+    rows, cols, n_sub = check(rows, int, "rows"), check(cols, int, "cols"), check(n_sub, int, "n_sub")
     rng = np.random.default_rng(seed)
     return mask_from_draw(rows, cols, n_sub, lambda n: rng.choice(rows * cols, size=n, replace=False))
 
@@ -66,11 +66,10 @@ class MeasurementOperator:
     def __init__(self, rows: int, cols: int, mask, mode: str = "selection"):
         if mode not in ("selection", "partial_fourier"):
             raise ValueError(f"unknown operator mode {mode!r}")
-        self._flat = flat_positions(mask, rows, cols)
+        self.rows, self.cols = check(rows, int, "rows"), check(cols, int, "cols")
+        self._flat = flat_positions(mask, self.rows, self.cols)
         if len(self._flat) == 0:
             raise ValueError("empty mask")
-        self.rows = int(rows)
-        self.cols = int(cols)
         self.mode = mode
         shape = (self.rows, self.cols)
         self._values = np.empty(len(self._flat), dtype=np.complex128)

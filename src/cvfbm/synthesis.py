@@ -28,19 +28,13 @@ def _check_args(h: float, rows: int, cols: int, what: str) -> tuple[float, int, 
     return h, rows, cols
 
 
-def spectral_envelope(h: float, rows: int, cols: int, kind: str = "amplitude") -> np.ndarray:
+def spectral_envelope(h: float, rows: int, cols: int) -> np.ndarray:
     """Power-law gain grid |omega|^-(2H+1), zero at DC.
 
-    kind="amplitude" applies the exponent to coefficient magnitudes directly;
-    kind="power" treats the law as a power spectrum, so magnitudes get the
-    square root, exponent (2H+1)/2.
+    The exponent applies to the Fourier coefficient magnitudes directly.
     """
     h, rows, cols = _check_args(h, rows, cols, "envelope")
-    if kind not in ("amplitude", "power"):
-        raise ValueError(f"unknown envelope kind {kind!r}")
     expo = 2.0 * h + 1.0
-    if kind == "power":
-        expo /= 2.0
     w = np.sqrt(radial_sq(rows, cols))
     gains = np.zeros((rows, cols))
     nz = w > 0
@@ -48,14 +42,7 @@ def spectral_envelope(h: float, rows: int, cols: int, kind: str = "amplitude") -
     return gains
 
 
-def synthesize_cvfbm(
-    h: float,
-    rows: int,
-    cols: int,
-    seed,
-    envelope: str = "amplitude",
-    periodic: bool = True,
-) -> np.ndarray:
+def synthesize_cvfbm(h: float, rows: int, cols: int, seed, periodic: bool = True) -> np.ndarray:
     """Draw a deterministic CV-fBm field of shape (rows, cols).
 
     Circular complex Gaussian white noise (unit variance per sample) is
@@ -79,7 +66,7 @@ def synthesize_cvfbm(
     else:
         m, n = 2 * rows, 2 * cols
     noise = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2.0)
-    shaped = idft2(dft2(noise) * spectral_envelope(h, m, n, kind=envelope))
+    shaped = idft2(dft2(noise) * spectral_envelope(h, m, n))
     if periodic:
         return shaped
     return take_quadrant(shaped)

@@ -372,6 +372,15 @@ class TestSampleAndRecon:
         assert "--epsilon" in capsys.readouterr().err
         assert not (tmp_path / "r.cvf").exists()
 
+    def test_retired_envelope_flag_exits_2(self, capsys, tmp_path):
+        # every field follows the one amplitude law
+        with pytest.raises(SystemExit) as info:
+            main(["synth", "--h", "0.5", "--rows", "8", "--cols", "8", "--envelope", "power",
+                  "--out", str(tmp_path / "f.cvf")])
+        assert info.value.code == 2
+        assert "--envelope" in capsys.readouterr().err
+        assert not (tmp_path / "f.cvf").exists()
+
     @pytest.mark.parametrize("method", harness.METHODS)
     def test_nan_sample_rejected_up_front(self, capfd, tmp_path, method):
         # rejected when the samples are read, so no solver sees the NaN (box
@@ -525,6 +534,7 @@ class TestBench:
             ("thin_plate", {"p": "0.5"}, "thin_plate.p"),
             ("twist", {"lambda": "0.25"}, "twist.lambda"),
             ("twist", {"lambda": False}, "twist.lambda"),
+            pytest.param("target_rms", 10**400, "target_rms", id="target_rms-too-large-for-a-float"),
         ],
     )
     def test_spec_value_of_wrong_type_exits_1(self, capsys, tmp_path, key, value, named):

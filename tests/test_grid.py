@@ -166,6 +166,16 @@ class TestSampleSet:
         with pytest.raises(ValueError, match="NaN or Inf"):
             SampleSet(rows=4, cols=4, positions=np.array([[0, 0], [1, 2]]), values=np.array([1.0, bad]))
 
+    @pytest.mark.parametrize("rows, cols, name", [(8.5, 8, "rows"), (8, 8.0, "cols"), (True, 8, "rows")])
+    def test_shape_of_another_kind_rejected(self, rows, cols, name):
+        # 8.5 built a sample set that boxcar_reconstruct then failed on with
+        # a TypeError
+        bad = rows if name == "rows" else cols
+        with pytest.raises(ValueError, match=f"^bad {name} value {bad!r}: expected an integer$"):
+            SampleSet(rows, cols, [[0, 0]], [1.0])
+        s = SampleSet(np.int64(8), np.int32(8), [[0, 0]], [1.0])
+        assert (type(s.rows), type(s.cols)) == (int, int)
+
 
 class TestFlatPositions:
     @pytest.mark.parametrize("pos", [[[-1, 0]], [[0, -1]], [[3, 0]], [[0, 5]]])

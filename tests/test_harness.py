@@ -220,9 +220,9 @@ class TestSpecValidation:
         "name, make, bads, good, expected",
         [
             ("hurst_values", lambda v: tiny_spec(hurst_values=(v,)), (True, "0.5"), np.float32(0.5), "a number"),
-            ("target_rms", lambda v: tiny_spec(target_rms=v), (True, "0.05"), np.float32(0.05), "a number"),
+            ("target_rms", lambda v: tiny_spec(target_rms=v), (True, "0.05", 10**400), np.float32(0.05), "a number"),
             ("p", lambda v: ThinPlateConfig(p=v), (True, "0.5"), np.float32(0.5), "a number"),
-            ("lambda", lambda v: TwistConfig(lam=v), (True, "0.25"), np.int64(1), "a number"),
+            ("lambda", lambda v: TwistConfig(lam=v), (True, "0.25", 10**400), np.int64(1), "a number"),
             ("tol", lambda v: TwistConfig(tol=v), (True, "1e-6"), np.float32(1e-6), "a number"),
             ("periodic", lambda v: SynthesisOptions(periodic=v), ("false", 0, None), np.False_, "a bool"),
             ("grid", lambda v: tiny_spec(grid=v), (12, (12, 12, 12), "1212", None), [12, np.int64(12)], "a list of 2"),
@@ -237,7 +237,6 @@ class TestSpecValidation:
                 [np.int64(2)],
                 "a list",
             ),
-            ("envelope", lambda v: SynthesisOptions(envelope=v), (1, None), "power", "a string"),
             ("range_adjust", lambda v: BoxcarConfig(range_adjust=v), (1, None), "none", "a string"),
             ("synthesis", lambda v: tiny_spec(synthesis=v), ({}, 1), SynthesisOptions(), "SynthesisOptions"),
             ("boxcar", lambda v: tiny_spec(boxcar=v), (ThinPlateConfig(), None), BoxcarConfig(), "BoxcarConfig"),
@@ -247,12 +246,13 @@ class TestSpecValidation:
         ],
         ids=[
             "hurst_values", "target_rms", "thin_plate.p", "twist.lambda", "twist.tol", "periodic", "grid",
-            "hurst_values-bare", "methods", "methods-item", "sample_counts", "subsampling_factors", "envelope",
-            "range_adjust", "synthesis", "boxcar", "thin_plate", "twist", "equality",
+            "hurst_values-bare", "methods", "methods-item", "sample_counts", "subsampling_factors", "range_adjust",
+            "synthesis", "boxcar", "thin_plate", "twist", "equality",
         ],
     )
     def test_fields_reject_values_of_another_kind(self, name, make, bads, good, expected):
-        # a bool must not be taken as 1.0, a truthy string must not switch
+        # a bool must not be taken as 1.0, an integer too large for a float
+        # must not escape as an OverflowError, a truthy string must not switch
         # periodic on, and a string or a bare value where a tuple belongs
         # must not fail later with a TypeError that names no field; the spec
         # JSON refuses all of these already
@@ -267,10 +267,6 @@ class TestSpecValidation:
 
     def test_counts_passthrough(self):
         assert tiny_spec(sample_counts=(30, 60)).counts == (30, 60)
-
-    def test_bad_envelope(self):
-        with pytest.raises(ValueError, match="envelope"):
-            SynthesisOptions(envelope="cosine")
 
 
 class TestDefaultSpecs:
@@ -299,7 +295,7 @@ class TestDefaultSpecs:
 
 # a value off its default in every config section of the spec
 NON_DEFAULT_SECTIONS = dict(
-    synthesis=SynthesisOptions(envelope="power", periodic=False),
+    synthesis=SynthesisOptions(periodic=False),
     boxcar=BoxcarConfig(window=5, range_adjust="none"),
     thin_plate=ThinPlateConfig(p=0.5),
     twist=TwistConfig(lam=0.25, tv_inner_iters=5),
@@ -321,7 +317,6 @@ FIELD_KINDS = [
     (None, "sample_counts", "sample_counts", (np.int64(30),), [30.0]),
     (None, "subsampling_factors", "subsampling_factors", (np.int16(2),), 2),
     (None, "target_rms", "target_rms", np.float32(0.05), "0.05"),
-    ("synthesis", "envelope", "envelope", None, 1),
     ("synthesis", "periodic", "periodic", np.False_, 0),
     ("boxcar", "window", "window", np.int64(5), 5.0),
     ("boxcar", "range_adjust", "range_adjust", None, False),
@@ -373,6 +368,22 @@ class TestSpecJson:
             spec = table1_spec(base_seed=11, **sections)
             assert spec_from_json(spec_to_json(spec)) == spec
 
+    def test_default_spec_keys(self):
+        # the keys a default campaign writes to spec.json: a key removed or
+        # renamed here makes the spec.json of an earlier run fail to load
+        sections = {
+            "boxcar": ["range_adjust", "window"],
+            "equality": ["max_iters"],
+            "synthesis": ["periodic"],
+            "thin_plate": ["p"],
+            "twist": ["lambda", "max_iters", "tol", "tv_inner_iters"],
+        }
+        shared = ["base_seed", "grid", "hurst_values", "methods", "repeats", "target_rms", *sections]
+        for spec, counts in ((table1_spec(), "subsampling_factors"), (table2_spec(), "sample_counts")):
+            written = json.loads(spec_to_json(spec))
+            assert sorted(written) == sorted([*shared, counts])
+            assert {s: sorted(written[s]) for s in sections} == sections
+
     @pytest.mark.parametrize(
         "make, stored",
         [
@@ -417,6 +428,7 @@ class TestSpecJson:
             ("equality", "penalty"),
             ("equality", "primal_tol"),
             ("equality", "dual_tol"),
+            ("synthesis", "envelope"),
         ],
     )
     def test_unknown_nested_key(self, section, key):
@@ -430,7 +442,7 @@ class TestSpecJson:
                 section: {key: 1},
             }
         )
-        with pytest.raises(ValueError, match=key):
+        with pytest.raises(ValueError, match=re.escape(f"unknown {section} keys: [{key!r}]")):
             spec_from_json(text)
 
     def test_nan_target_rms_rejected(self):
@@ -486,6 +498,12 @@ class TestSpecJson:
         assert type(spec.thin_plate.p) is float
         assert type(spec.twist.lam) is float
 
+    def test_integer_too_large_for_a_float_rejected(self):
+        # float() of it raised an OverflowError that named no field
+        big = 10**400
+        with pytest.raises(ValueError, match=re.escape(f"bad target_rms value {big!r}: expected a number")):
+            spec_from_json(json.dumps({**SMALL_SPEC, "target_rms": big}))
+
     def test_null_where_none_allowed(self):
         spec = spec_from_json(
             json.dumps({**SMALL_SPEC, "target_rms": None, "thin_plate": {"p": None}, "twist": {"lambda": None}})
@@ -499,13 +517,12 @@ class TestSpecJson:
             json.dumps(
                 {
                     **SMALL_SPEC,
-                    "synthesis": {"periodic": False, "envelope": "power"},
+                    "synthesis": {"periodic": False},
                     "boxcar": {"range_adjust": "none"},
                 }
             )
         )
         assert spec.synthesis.periodic is False
-        assert spec.synthesis.envelope == "power"
         assert spec.boxcar.range_adjust == "none"
 
     def test_lambda_auto(self):

@@ -46,6 +46,14 @@ class TestRandomMask:
             random_mask(8, 8, n_sub, seed=0)
         assert np.array_equal(random_mask(8, 8, np.int64(3), seed=0), random_mask(8, 8, 3, seed=0))
 
+    @pytest.mark.parametrize("rows, cols, name", [(8.0, 8, "rows"), (8, 8.5, "cols"), (True, 8, "rows")])
+    def test_shape_of_another_kind_rejected(self, rows, cols, name):
+        # 8.0 failed in numpy with a TypeError that named no argument
+        bad = rows if name == "rows" else cols
+        with pytest.raises(ValueError, match=f"^bad {name} value {bad!r}: expected an integer$"):
+            random_mask(rows, cols, 3, seed=0)
+        assert np.array_equal(random_mask(np.int64(8), np.int32(8), 3, seed=0), random_mask(8, 8, 3, seed=0))
+
     def test_single_draws_uniform(self):
         # 1e4 single-cell draws on a 10x10 grid: every cell within 4 sigma of 100
         counts = np.zeros((10, 10))
@@ -147,6 +155,15 @@ class TestMeasurementOperator:
     def test_bad_mask_rejected(self, mode, mask, message):
         with pytest.raises(ValueError, match=message):
             MeasurementOperator(4, 4, mask, mode=mode)
+
+    @pytest.mark.parametrize("rows, cols, name", [(8.5, 8, "rows"), (8, 8.0, "cols"), (8, False, "cols")])
+    def test_shape_of_another_kind_rejected(self, rows, cols, name):
+        # int() truncated 8.5 to 8 and built an 8x8 operator
+        bad = rows if name == "rows" else cols
+        with pytest.raises(ValueError, match=f"^bad {name} value {bad!r}: expected an integer$"):
+            MeasurementOperator(rows, cols, [[0, 0], [1, 1]])
+        op = MeasurementOperator(np.int64(8), np.int16(8), [[0, 0], [1, 1]])
+        assert (type(op.rows), type(op.cols)) == (int, int)
 
     def test_dimension_mismatch_rejected(self):
         op = MeasurementOperator(4, 4, random_mask(4, 4, 5, seed=0))

@@ -37,11 +37,6 @@ class TestSpectralEnvelope:
         slope = np.polyfit(np.log(w[keep]), np.log(gains[keep]), 1)[0]
         assert slope == pytest.approx(-(2 * h + 1), abs=1e-6)
 
-    def test_power_reading_halves_exponent(self):
-        amp = spectral_envelope(0.5, 16, 16, kind="amplitude")
-        pwr = spectral_envelope(0.5, 16, 16, kind="power")
-        assert pwr[0, 2] == pytest.approx(np.sqrt(amp[0, 2]))
-
     def test_negative_frequencies_signed(self):
         # bin N-1 aliases to frequency -1, so its gain matches bin 1
         gains = spectral_envelope(0.6, 16, 16)
