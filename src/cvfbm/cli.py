@@ -102,8 +102,6 @@ def _cmd_sample(args) -> int:
 
 def _cmd_recon(args) -> int:
     samples = read_samples_csv(args.samples, args.rows, args.cols)
-    if args.method == "boxcar":
-        args.method = "box"
     section, solve = REGISTRY[args.method]
     # the recon flags are named after the config fields they set; a flag left
     # at None keeps the config's own default, and one that sets a field of
@@ -230,11 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=Path, required=True)
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
-    p.add_argument(
-        "--method",
-        choices=METHODS + ("boxcar",),
-        required=True,
-    )
+    p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--diagnostics", type=Path, default=None, help="write solver details as JSON")
     p.add_argument("--window", type=int, default=None, help="boxcar window side")
@@ -242,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=None, help="thin-plate smoothing weight in (0, 1]")
     p.add_argument("--lambda", dest="lam", type=float, default=None, help="TV weight")
     p.add_argument("--max-iters", type=int, default=None, help="iteration cap (default: the method's own)")
-    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=_cmd_recon)
 
     p = sub.add_parser("eval", help="score a reconstruction against the truth field")
@@ -265,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("star", help="render an elliptical PSF and report recovered moments")
-    p.add_argument("--profile", choices=("gaussian", "moffat", "airy"), default="gaussian")
+    p.add_argument("--profile", choices=("gaussian", "moffat"), default="gaussian")
     p.add_argument("--e1", type=float, default=0.0)
     p.add_argument("--e2", type=float, default=0.0)
     p.add_argument("--size", type=int, default=33)

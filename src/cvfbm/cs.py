@@ -324,21 +324,22 @@ _KAPPA = 1e-3
 _ALPHA = 2.0 / (1.0 + np.sqrt(1.0 - ((1.0 - _KAPPA) / (1.0 + _KAPPA)) ** 2))
 _BETA = _ALPHA * 2.0 / (_KAPPA + 1.0)
 
+# TwIST stops once one step changes the objective by less than this
+# fraction of it
+_TWIST_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class TwistConfig:
     # None means lambda = AUTO_LAMBDA_FACTOR * ||A^H y||_inf for the data.
     lam: float | None = field(default=None, metadata={"name": "lambda"})
     max_iters: int = 500
-    tol: float = 1e-6
     tv_inner_iters: int = 10
 
     def __post_init__(self):
         check_fields(self)
         if self.lam is not None and not (np.isfinite(self.lam) and self.lam > 0):
             raise ValueError("lambda must be positive and finite")
-        if not 0.0 < self.tol < 1.0:
-            raise ValueError("tol must lie in (0, 1)")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if self.tv_inner_iters < 1:
@@ -411,7 +412,7 @@ def twist_reconstruct(
         x_old, x, r = x, x_new, r_new
         objectives.append(f_new)
         iterations = it + 2
-        if change < cfg.tol:
+        if change < _TWIST_TOL:
             hit_tol = True
             break
 
@@ -428,7 +429,7 @@ def twist_reconstruct(
         "fixed_point_gap": gap,
         # certified convergence: the objective plateaued AND the iterate is a
         # fixed point of the shrinkage map to matching precision
-        "converged": bool(hit_tol and gap < 10.0 * cfg.tol),
+        "converged": bool(hit_tol and gap < 10.0 * _TWIST_TOL),
     }
     return field, info
 

@@ -73,7 +73,7 @@ def write_samples_csv(path, samples: SampleSet) -> None:
 
 
 def read_samples_csv(path, rows: int, cols: int) -> SampleSet:
-    """Read a sample catalog; accepts e1,e2 or re,im value headers."""
+    """Read a sample catalog written by write_samples_csv (header row,col,e1,e2)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -82,7 +82,7 @@ def read_samples_csv(path, rows: int, cols: int) -> SampleSet:
         names = [h.strip().lower() for h in header]
         if names[:2] != ["row", "col"] or len(names) != 4:
             raise ValueError(f"unexpected sample CSV header: {header}")
-        if names[2:] not in (["e1", "e2"], ["re", "im"]):
+        if names[2:] != ["e1", "e2"]:
             raise ValueError(f"unexpected sample value columns: {header}")
         pos, vals = [], []
         for line in reader:

@@ -152,7 +152,10 @@ class SampleSet:
 
     def __post_init__(self):
         for name in ("rows", "cols"):
-            object.__setattr__(self, name, check(getattr(self, name), int, name))
+            n = check(getattr(self, name), int, name)
+            if n < 1:
+                raise ValueError(f"{name} must be at least 1, got {n}")
+            object.__setattr__(self, name, n)
         pos = np.asarray(self.positions, dtype=np.int64).reshape(-1, 2)
         val = np.asarray(self.values, dtype=np.complex128).reshape(-1)
         if len(pos) != len(val):

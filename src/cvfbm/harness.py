@@ -216,8 +216,6 @@ def _section_from_json(section: str, cls, sub):
         raise ValueError(f"unknown {section} keys: {sorted(bad)}")
     kwargs = {}
     for key, value in sub.items():
-        if key == "lambda" and value == "auto":
-            value = None
         attr, tp = by_key[key]
         kwargs[attr] = check(value, tp, f"{section}.{key}")
     return cls(**kwargs)

@@ -39,8 +39,7 @@ def shear_coords(e1: float, e2: float, x0, y0):
 class RadialProfile:
     """Circular brightness profile evaluated on the normalized radius u = r/scale.
 
-    kinds: "gaussian" exp(-u^2/2); "moffat" (1+u^2)^-beta; "airy"
-    [2 J1(u)/u]^2 with the limit 1 at u = 0.
+    kinds: "gaussian" exp(-u^2/2); "moffat" (1+u^2)^-beta.
     """
 
     kind: str = "gaussian"
@@ -49,7 +48,7 @@ class RadialProfile:
 
     def __post_init__(self):
         check_fields(self)
-        if self.kind not in ("gaussian", "moffat", "airy"):
+        if self.kind not in ("gaussian", "moffat"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
         for name in ("scale", "beta"):
             if not np.isfinite(getattr(self, name)):
@@ -63,14 +62,7 @@ class RadialProfile:
         u = np.asarray(u, dtype=float)
         if self.kind == "gaussian":
             return np.exp(-0.5 * u**2)
-        if self.kind == "moffat":
-            return (1.0 + u**2) ** (-self.beta)
-        # imported here: scipy.special costs about half of `import cvfbm`
-        from scipy.special import j1
-        out = np.ones_like(u)
-        nz = u > 0
-        out[nz] = (2.0 * j1(u[nz]) / u[nz]) ** 2
-        return out
+        return (1.0 + u**2) ** (-self.beta)
 
 
 def render_star(profile: RadialProfile, e1: float, e2: float, size: int) -> np.ndarray:

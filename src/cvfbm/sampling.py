@@ -25,6 +25,9 @@ def mask_from_draw(rows: int, cols: int, n: int, draw) -> np.ndarray:
     ``draw`` is called only once n is known to lie in [1, rows*cols]; its
     distinct indices are sorted into canonical row-major order.
     """
+    for name, side in (("rows", rows), ("cols", cols)):
+        if side < 1:
+            raise ValueError(f"{name} must be at least 1, got {side}")
     total = rows * cols
     if not 1 <= n <= total:
         raise ValueError(f"sample count {n} out of range [1, {total}] for a {rows}x{cols} grid")

@@ -516,6 +516,17 @@ class TestThinPlateFastPaths:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip().splitlines()[-1] == "0 []"
         assert (tmp_path / "r.cvf").exists()
+        # with every scipy import made to raise, the package, both star
+        # profiles, a thin-plate fit and `cvfbm star` still run
+        code = (
+            "import sys; sys.modules['scipy'] = None; import cvfbm; from cvfbm.cli import main; "
+            "[cvfbm.render_star(cvfbm.RadialProfile(kind), 0.1, -0.2, 15) for kind in ('gaussian', 'moffat')]; "
+            "f = cvfbm.synthesize_cvfbm(0.8, 16, 16, 1); "
+            "cvfbm.thin_plate_reconstruct(cvfbm.subsample(f, cvfbm.random_mask(16, 16, 40, seed=1))); "
+            "sys.exit(main(['star', '--profile', 'moffat', '--e1', '0.1']))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
 
     def test_package_exports_the_module_lists(self):
         names = ("baselines", "cs", "fileio", "grid", "harness", "metrics", "psf", "sampling", "synthesis")

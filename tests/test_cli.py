@@ -221,16 +221,6 @@ class TestSampleAndRecon:
         residual = recon[s.positions[:, 0], s.positions[:, 1]] - s.values
         assert np.max(np.abs(residual)) < 1e-8
 
-    def test_boxcar_alias(self, capsys, tmp_path, field_file):
-        path, _ = field_file
-        samples_path = tmp_path / "s.csv"
-        run_cli(capsys, "sample", "--field", str(path), "--n", "50", "--out", str(samples_path))
-        a, b = tmp_path / "a.cvf", tmp_path / "b.cvf"
-        base = ["recon", "--samples", str(samples_path), "--rows", "16", "--cols", "16"]
-        run_cli(capsys, *base, "--method", "box", "--out", str(a))
-        run_cli(capsys, *base, "--method", "boxcar", "--out", str(b))
-        assert a.read_bytes() == b.read_bytes()
-
     def test_diagnostics_sidecar(self, capsys, tmp_path, field_file):
         path, _ = field_file
         samples_path = tmp_path / "s.csv"
@@ -301,7 +291,7 @@ class TestSampleAndRecon:
         code, _, _ = run_cli(
             capsys,
             "recon", "--samples", str(samples_path), "--rows", "16", "--cols", "16",
-            "--method", "boxcar", "--window", "5", "--out", str(tmp_path / "r.cvf"),
+            "--method", "box", "--window", "5", "--out", str(tmp_path / "r.cvf"),
         )
         assert code == 0
         assert [(cfg.window, cfg.range_adjust) for cfg in calls] == [(5, "affine")]
@@ -324,9 +314,12 @@ class TestSampleAndRecon:
     @pytest.mark.parametrize(
         "method_flags, named",
         [
-            (["--method", "tp", "--window", "4", "--tol", "5", "--max-iters", "3"], "--window, --max-iters, --tol"),
-            (["--method", "cs-tv", "--tol", "5"], "--tol"),
-            (["--method", "boxcar", "--lambda", "0.1"], "--lambda"),
+            (
+                ["--method", "tp", "--window", "4", "--lambda", "5", "--max-iters", "3"],
+                "--window, --lambda, --max-iters",
+            ),
+            (["--method", "cs-tv", "--lambda", "5"], "--lambda"),
+            (["--method", "box", "--lambda", "0.1"], "--lambda"),
         ],
     )
     def test_flag_of_another_method_rejected(self, capsys, tmp_path, field_file, method_flags, named):
@@ -341,7 +334,7 @@ class TestSampleAndRecon:
         assert code == 1 and stdout == ""
         message = json.loads(err)["error"]
         assert message.startswith(named + ":")
-        assert "--method " + method_flags[1].replace("boxcar", "box") in message
+        assert "--method " + method_flags[1] in message
         assert not (tmp_path / "r.cvf").exists()
 
     def test_config_flags_name_config_fields(self):
@@ -360,17 +353,23 @@ class TestSampleAndRecon:
         args = build_parser().parse_args(
             ["recon", "--samples", "s.csv", "--rows", "4", "--cols", "4", "--method", "box", "--out", "r.cvf"]
         )
-        for name in ("window", "range_adjust", "p", "lam", "max_iters", "tol"):
+        for name in ("window", "range_adjust", "p", "lam", "max_iters"):
             assert getattr(args, name) is None, name
 
     def test_retired_epsilon_flag_exits_2(self, capsys, tmp_path):
-        # thin-plate smoothing is set by --p alone
-        with pytest.raises(SystemExit) as info:
-            main(["recon", "--samples", str(tmp_path / "s.csv"), "--rows", "4", "--cols", "4",
-                  "--method", "tp", "--epsilon", "0.1", "--out", str(tmp_path / "r.cvf")])
-        assert info.value.code == 2
-        assert "--epsilon" in capsys.readouterr().err
-        assert not (tmp_path / "r.cvf").exists()
+        # thin-plate smoothing is set by --p alone; TwIST's stopping tolerance
+        # is fixed, and box has no second name
+        for flags, named in (
+            (["--method", "tp", "--epsilon", "0.1"], "--epsilon"),
+            (["--method", "cs-twist", "--tol", "1e-4"], "--tol"),
+            (["--method", "boxcar"], "'boxcar'"),
+        ):
+            with pytest.raises(SystemExit) as info:
+                main(["recon", "--samples", str(tmp_path / "s.csv"), "--rows", "4", "--cols", "4",
+                      *flags, "--out", str(tmp_path / "r.cvf")])
+            assert info.value.code == 2
+            assert named in capsys.readouterr().err
+            assert not (tmp_path / "r.cvf").exists()
 
     def test_retired_envelope_flag_exits_2(self, capsys, tmp_path):
         # every field follows the one amplitude law
@@ -412,8 +411,9 @@ class TestSampleAndRecon:
             ("row,col,e1,e2\n1,2,0.5,0.1,9\n", "line 2: expected 4 fields, got 5"),
             ("row,col,e1,e2\n0,0,1.0,0.5\n0,1,1.0,abc\n", "line 3: could not convert string to float: 'abc'"),
             ("row,col,e1,e2\n1.5,2,0.5,0.1\n", "line 2: invalid literal for int() with base 10: '1.5'"),
+            ("row,col,re,im\n0,0,1.5,-2.5\n", "unexpected sample value columns"),
         ],
-        ids=["empty", "three-fields", "five-fields", "non-numeric-value", "float-row"],
+        ids=["empty", "three-fields", "five-fields", "non-numeric-value", "float-row", "re-im-header"],
     )
     def test_malformed_samples_csv_exits_1(self, capfd, tmp_path, text, named):
         path = tmp_path / "s.csv"

@@ -140,7 +140,7 @@ def rolled_twist_reconstruct(samples, cfg, periodic=False):
         x_old, x = x, x_new
         objectives.append(f_new)
         iterations = it + 2
-        if change < cfg.tol:
+        if change < cs_module._TWIST_TOL:
             break
     info = {
         "iterations": iterations,
@@ -279,8 +279,7 @@ class TestTvDenoise:
 
 
 class TestSolverConfigsRejectNonFinite:
-    # a non-finite weight or tolerance would otherwise surface mid-solve, as
-    # a NaN field or a run to the iteration cap
+    # a non-finite weight would otherwise surface mid-solve, as a NaN field
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("field, named", [("lam", "lambda")])
     def test_twist(self, field, named, value):
@@ -537,36 +536,36 @@ class TestTwist:
         out, _ = twist_reconstruct(s, TwistConfig(lam=1e-10, max_iters=50))
         assert np.max(np.abs(out - f)) < 1e-6
 
-    def test_monotone_objective_on_randomized_runs(self):
+    def test_monotone_objective_on_randomized_runs(self, monkeypatch):
+        monkeypatch.setattr(cs_module, "_TWIST_TOL", 1e-9)
         for seed in range(100):
             f = synthesize_cvfbm(0.5 + 0.3 * (seed % 2), 16, 16, seed)
             s = subsample(f, random_mask(16, 16, 60, seed=seed))
-            _, info = twist_reconstruct(
-                s, TwistConfig(max_iters=25, tv_inner_iters=5, tol=1e-9)
-            )
+            _, info = twist_reconstruct(s, TwistConfig(max_iters=25, tv_inner_iters=5))
             trace = info["objective_trace"]
             assert all(
                 a >= b - 1e-10 * max(abs(a), 1.0) for a, b in zip(trace, trace[1:])
             ), f"objective climbed on seed {seed}"
 
-    def test_fixed_point_certified_at_convergence(self):
+    def test_fixed_point_certified_at_convergence(self, monkeypatch):
         # a tight inner prox lets the solver certify convergence: the
         # objective plateaus and the iterate is a fixed point of the
         # shrinkage map within ten times the tolerance
         f = synthesize_cvfbm(0.8, 24, 24, 15)
         s = subsample(f, random_mask(24, 24, 240, seed=8))
-        cfg = TwistConfig(tol=1e-5, max_iters=2000, tv_inner_iters=60)
-        _, info = twist_reconstruct(s, cfg)
+        monkeypatch.setattr(cs_module, "_TWIST_TOL", 1e-5)
+        _, info = twist_reconstruct(s, TwistConfig(max_iters=2000, tv_inner_iters=60))
         assert info["converged"]
-        assert info["fixed_point_gap"] < 10 * cfg.tol
+        assert info["fixed_point_gap"] < 10 * cs_module._TWIST_TOL
 
     @pytest.mark.parametrize("max_iters", [1, 3])
-    def test_capped_solve_reports_the_cap(self, max_iters):
+    def test_capped_solve_reports_the_cap(self, monkeypatch, max_iters):
         # the first shrinkage step counts as iteration 1 and spends one unit
         # of the budget, so a solve stopped by the cap reports max_iters
         f = synthesize_cvfbm(0.8, 32, 32, 27)
         s = subsample(f, random_mask(32, 32, 300, seed=12))
-        cfg = TwistConfig(lam=0.1, tol=0.01, max_iters=max_iters)
+        monkeypatch.setattr(cs_module, "_TWIST_TOL", 0.01)
+        cfg = TwistConfig(lam=0.1, max_iters=max_iters)
         _, info = twist_reconstruct(s, cfg)
         assert info["iterations"] == cfg.max_iters
         assert len(info["objective_trace"]) == info["iterations"] + 1
@@ -650,7 +649,7 @@ class TestTwistBitIdentical:
         last_change = abs(trace[-2] - trace[-1]) / trace[-2]
         # neither the cap nor the tolerance ended this solve: the guard did
         assert info["iterations"] < cfg.max_iters
-        assert last_change >= cfg.tol
+        assert last_change >= cs_module._TWIST_TOL
         assert calls["tv_denoise"] == info["iterations"] + 1
         out_ref, info_ref = rolled_twist_reconstruct(s, cfg)
         assert np.array_equal(out, out_ref)

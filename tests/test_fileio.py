@@ -123,12 +123,6 @@ class TestSamplesCsv:
         assert lines[0] == "row,col,e1,e2"
         assert lines[1].startswith("1,2,")
 
-    def test_alternate_component_header_accepted(self, tmp_path):
-        path = tmp_path / "samples.csv"
-        path.write_text("row,col,re,im\n0,0,1.5,-2.5\n")
-        s = read_samples_csv(path, 2, 2)
-        assert s.values[0] == 1.5 - 2.5j
-
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_rejected(self, tmp_path, value):
         path = tmp_path / "samples.csv"

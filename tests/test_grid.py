@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,13 +168,19 @@ class TestSampleSet:
         with pytest.raises(ValueError, match="NaN or Inf"):
             SampleSet(rows=4, cols=4, positions=np.array([[0, 0], [1, 2]]), values=np.array([1.0, bad]))
 
-    @pytest.mark.parametrize("rows, cols, name", [(8.5, 8, "rows"), (8, 8.0, "cols"), (True, 8, "rows")])
+    @pytest.mark.parametrize(
+        "rows, cols, name", [(8.5, 8, "rows"), (8, 8.0, "cols"), (True, 8, "rows"), (0, 0, "rows"), (8, -1, "cols")]
+    )
     def test_shape_of_another_kind_rejected(self, rows, cols, name):
         # 8.5 built a sample set that boxcar_reconstruct then failed on with
-        # a TypeError
+        # a TypeError, and an empty one built on a 0x0 grid
         bad = rows if name == "rows" else cols
-        with pytest.raises(ValueError, match=f"^bad {name} value {bad!r}: expected an integer$"):
-            SampleSet(rows, cols, [[0, 0]], [1.0])
+        expected = f"{name} must be at least 1, got {bad}"
+        if type(bad) is not int:
+            expected = f"bad {name} value {bad!r}: expected an integer"
+        for positions, values in (([[0, 0]], [1.0]), ([], [])):
+            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                SampleSet(rows, cols, positions, values)
         s = SampleSet(np.int64(8), np.int32(8), [[0, 0]], [1.0])
         assert (type(s.rows), type(s.cols)) == (int, int)
 

@@ -223,7 +223,6 @@ class TestSpecValidation:
             ("target_rms", lambda v: tiny_spec(target_rms=v), (True, "0.05", 10**400), np.float32(0.05), "a number"),
             ("p", lambda v: ThinPlateConfig(p=v), (True, "0.5"), np.float32(0.5), "a number"),
             ("lambda", lambda v: TwistConfig(lam=v), (True, "0.25", 10**400), np.int64(1), "a number"),
-            ("tol", lambda v: TwistConfig(tol=v), (True, "1e-6"), np.float32(1e-6), "a number"),
             ("periodic", lambda v: SynthesisOptions(periodic=v), ("false", 0, None), np.False_, "a bool"),
             ("grid", lambda v: tiny_spec(grid=v), (12, (12, 12, 12), "1212", None), [12, np.int64(12)], "a list of 2"),
             ("hurst_values", lambda v: tiny_spec(hurst_values=v), (0.5, "0.5", None), [0.5], "a list"),
@@ -245,7 +244,7 @@ class TestSpecValidation:
             ("equality", lambda v: tiny_spec(equality=v), ({}, None), EqualitySolverConfig(), "EqualitySolverConfig"),
         ],
         ids=[
-            "hurst_values", "target_rms", "thin_plate.p", "twist.lambda", "twist.tol", "periodic", "grid",
+            "hurst_values", "target_rms", "thin_plate.p", "twist.lambda", "periodic", "grid",
             "hurst_values-bare", "methods", "methods-item", "sample_counts", "subsampling_factors", "range_adjust",
             "synthesis", "boxcar", "thin_plate", "twist", "equality",
         ],
@@ -323,7 +322,6 @@ FIELD_KINDS = [
     ("thin_plate", "p", "p", np.float32(0.5), "0.5"),
     ("twist", "lam", "lambda", np.float32(0.25), False),
     ("twist", "max_iters", "max_iters", np.uint16(5), 5.5),
-    ("twist", "tol", "tol", np.float16(0.25), True),
     ("twist", "tv_inner_iters", "tv_inner_iters", np.int8(5), "5"),
     ("equality", "max_iters", "max_iters", np.int64(50), [50]),
 ]
@@ -376,7 +374,7 @@ class TestSpecJson:
             "equality": ["max_iters"],
             "synthesis": ["periodic"],
             "thin_plate": ["p"],
-            "twist": ["lambda", "max_iters", "tol", "tv_inner_iters"],
+            "twist": ["lambda", "max_iters", "tv_inner_iters"],
         }
         shared = ["base_seed", "grid", "hurst_values", "methods", "repeats", "target_rms", *sections]
         for spec, counts in ((table1_spec(), "subsampling_factors"), (table2_spec(), "sample_counts")):
@@ -429,6 +427,7 @@ class TestSpecJson:
             ("equality", "primal_tol"),
             ("equality", "dual_tol"),
             ("synthesis", "envelope"),
+            ("twist", "tol"),
         ],
     )
     def test_unknown_nested_key(self, section, key):
@@ -526,17 +525,11 @@ class TestSpecJson:
         assert spec.boxcar.range_adjust == "none"
 
     def test_lambda_auto(self):
-        text = json.dumps(
-            {
-                "grid": [8, 8],
-                "hurst_values": [0.5],
-                "methods": ["cs-twist"],
-                "repeats": 1,
-                "sample_counts": [10],
-                "twist": {"lambda": "auto"},
-            }
-        )
-        assert spec_from_json(text).twist.lam is None
+        # null asks for the automatic weight; "auto" is no second spelling
+        raw = {"grid": [8, 8], "hurst_values": [0.5], "methods": ["cs-twist"], "repeats": 1, "sample_counts": [10]}
+        assert spec_from_json(json.dumps({**raw, "twist": {"lambda": None}})).twist.lam is None
+        with pytest.raises(ValueError, match=re.escape("bad twist.lambda value 'auto'")):
+            spec_from_json(json.dumps({**raw, "twist": {"lambda": "auto"}}))
 
 
 class TestCellStreams:

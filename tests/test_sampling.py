@@ -46,11 +46,18 @@ class TestRandomMask:
             random_mask(8, 8, n_sub, seed=0)
         assert np.array_equal(random_mask(8, 8, np.int64(3), seed=0), random_mask(8, 8, 3, seed=0))
 
-    @pytest.mark.parametrize("rows, cols, name", [(8.0, 8, "rows"), (8, 8.5, "cols"), (True, 8, "rows")])
+    @pytest.mark.parametrize(
+        "rows, cols, name",
+        [(8.0, 8, "rows"), (8, 8.5, "cols"), (True, 8, "rows"), (-2, -3, "rows"), (0, 0, "rows"), (8, 0, "cols")],
+    )
     def test_shape_of_another_kind_rejected(self, rows, cols, name):
-        # 8.0 failed in numpy with a TypeError that named no argument
+        # 8.0 failed in numpy with a TypeError that named no argument, and
+        # -2 x -3 drew positions outside any grid
         bad = rows if name == "rows" else cols
-        with pytest.raises(ValueError, match=f"^bad {name} value {bad!r}: expected an integer$"):
+        expected = f"{name} must be at least 1, got {bad}"
+        if type(bad) is not int:
+            expected = f"bad {name} value {bad!r}: expected an integer"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             random_mask(rows, cols, 3, seed=0)
         assert np.array_equal(random_mask(np.int64(8), np.int32(8), 3, seed=0), random_mask(8, 8, 3, seed=0))
 
