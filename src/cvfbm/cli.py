@@ -34,12 +34,7 @@ from .harness import (
     run_table1,
     run_table2,
     spec_from_json,
-    spec_to_json,
-    table1_spec,
-    table2_spec,
     mean_table,
-    write_mean_csv,
-    write_results_csv,
 )
 from .metrics import MIN_SLOPE_GRID, evaluate, radial_spectrum_slope
 from .psf import (
@@ -136,27 +131,17 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.spec is not None:
-        spec = spec_from_json(Path(args.spec).read_text())
-    elif args.campaign == "table1":
-        spec = table1_spec()
-    else:
-        spec = table2_spec()
-    # the campaign's artifact store creates out_dir
-    out_dir = Path(args.out_dir)
+    # the campaign name picks only the default spec; the spec, given or
+    # default, says all else, and the campaign writes the whole out-dir
+    spec = spec_from_json(args.spec.read_text()) if args.spec is not None else None
     runner = run_table1 if args.campaign == "table1" else run_table2
-    rows = runner(spec, out_dir=out_dir, jobs=args.jobs)
-    write_results_csv(out_dir / "results.csv", rows, include_timings=args.timings)
-    write_mean_csv(out_dir / "mean_rmse.csv", rows, value="rmse")
-    write_mean_csv(out_dir / "mean_snr_db.csv", rows, value="snr_db")
-    (out_dir / "spec.json").write_text(spec_to_json(spec) + "\n")
-    means = mean_table(rows)
-    for (method, h, n_sub), cell in sorted(means.items()):
+    rows = runner(spec, out_dir=args.out_dir, jobs=args.jobs, timings=args.timings)
+    for (method, h, n_sub), cell in sorted(mean_table(rows).items()):
         print(
-            f"{method:8s} h={h:g} n_sub={n_sub}: "
+            f"{method:8s} h={h!r} n_sub={n_sub}: "
             f"rmse={cell['rmse']:.4e} snr={cell['snr_db']:.2f} dB ({cell['n']} runs)"
         )
-    _emit({"out_dir": str(out_dir), "rows": len(rows)})
+    _emit({"out_dir": str(args.out_dir), "rows": len(rows)})
     return 0
 
 

@@ -4,9 +4,10 @@ A campaign is a grid of cells (hurst value, sample count, repeat). Every cell
 derives its random streams from the campaign base seed through
 :func:`derive_seed`, so any cell can be recomputed in isolation and repeated
 runs are bit-identical. Within a repeat, all sample counts share one
-permutation (smaller masks are prefixes of larger ones) and, in the paired
-campaign, all hurst values share the same noise realization, so comparisons
-across those axes are paired rather than independent.
+permutation (smaller masks are prefixes of larger ones) and, with
+``paired_noise``, all hurst values share one noise realization, so
+comparisons across those axes are paired rather than independent. A run
+with an out-dir writes there all it made, spec.json included.
 """
 
 from __future__ import annotations
@@ -101,6 +102,7 @@ class ExperimentSpec:
     sample_counts: tuple[int, ...] | None = None
     subsampling_factors: tuple[int, ...] | None = None
     target_rms: float | None = None
+    paired_noise: bool = False  # one noise field per repeat, shared by every hurst value
     synthesis: SynthesisOptions = SynthesisOptions()
     boxcar: BoxcarConfig = BoxcarConfig()
     thin_plate: ThinPlateConfig = ThinPlateConfig()
@@ -168,7 +170,7 @@ def table1_spec(**overrides) -> ExperimentSpec:
     """Subsampled 64x64 fields reconstructed by equality-constrained TV.
 
     Fields use the doubled-grid synthesis (free boundary); the noise
-    realization is shared across hurst values within a repeat.
+    realization is shared across hurst values within a repeat (paired_noise).
     """
     base = dict(
         grid=(64, 64),
@@ -177,6 +179,7 @@ def table1_spec(**overrides) -> ExperimentSpec:
         methods=("cs-tv",),
         repeats=10,
         base_seed=0,
+        paired_noise=True,
         synthesis=SynthesisOptions(periodic=False),
     )
     base.update(overrides)
@@ -257,12 +260,10 @@ def spec_to_json(spec: ExperimentSpec) -> str:
 # ---------------------------------------------------------------------------
 # cell execution
 
-def _cell_truth(spec: ExperimentSpec, policy: str, h_idx: int, rep: int) -> tuple[np.ndarray, int]:
+def _cell_truth(spec: ExperimentSpec, h_idx: int, rep: int) -> tuple[np.ndarray, int]:
     """Synthesize (and optionally normalize) the truth field for one cell."""
-    if policy == "paired":
-        seed = derive_seed(spec.base_seed, _FIELD_STREAM, rep)
-    else:
-        seed = derive_seed(spec.base_seed, _FIELD_STREAM, h_idx, rep)
+    key = (rep,) if spec.paired_noise else (h_idx, rep)
+    seed = derive_seed(spec.base_seed, _FIELD_STREAM, *key)
     rows, cols = spec.grid
     field = synthesize_cvfbm(spec.hurst_values[h_idx], rows, cols, seed, periodic=spec.synthesis.periodic)
     if spec.target_rms is not None:
@@ -321,7 +322,7 @@ def _run_cells(spec: ExperimentSpec, methods: tuple, nsub_idx: int, mask, hs: ra
 
 
 def _run_repeat(
-    spec: ExperimentSpec, policy: str, rep: int, pool, store, truths: np.ndarray, recons: np.ndarray | None
+    spec: ExperimentSpec, rep: int, pool, store, truths: np.ndarray, recons: np.ndarray | None
 ) -> tuple[list, list]:
     """Run one repeat's cells: (result rows, manifest entries).
 
@@ -336,7 +337,7 @@ def _run_repeat(
     hs = range(len(spec.hurst_values))
     seeds = []
     for h_idx in hs:
-        truths[h_idx], seed = _cell_truth(spec, policy, h_idx, rep)
+        truths[h_idx], seed = _cell_truth(spec, h_idx, rep)
         seeds.append(seed)
     masks = _repeat_masks(spec, rep)
     keep = store is not None
@@ -376,13 +377,13 @@ def _run_repeat(
     return rows, manifest
 
 
-def _run_campaign(spec: ExperimentSpec, policy: str, out_dir=None, jobs: int = 1):
+def _run_campaign(spec: ExperimentSpec, out_dir=None, jobs: int = 1, timings: bool = False):
     # the campaign runs one repeat at a time and keeps only result rows and
     # manifest entries across repeats, so its peak holds one repeat's fields
     # whatever the number of repeats. Under --jobs one pool serves every
     # repeat, with no more workers than a repeat has tasks (serial for one).
-    # manifest.json is written, and audited, only once every repeat has run;
-    # the blobs of the repeats before a failure stay in the store.
+    # manifest.json (then audited), the CSVs and spec.json are written only
+    # once every repeat has run; the blobs of earlier repeats survive a failure.
     # Each repeat's fields go into the same two buffers: fields freed at every
     # repeat's end would be trimmed from the heap and faulted back in by the
     # next, at a cost that shifts with the heap's layout from run to run. Only
@@ -401,7 +402,7 @@ def _run_campaign(spec: ExperimentSpec, policy: str, out_dir=None, jobs: int = 1
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         try:
             for rep in range(spec.repeats):
-                rep_rows, entries = _run_repeat(spec, policy, rep, pool, store, truths, recons)
+                rep_rows, entries = _run_repeat(spec, rep, pool, store, truths, recons)
                 rows += rep_rows
                 manifest += entries
         finally:
@@ -413,6 +414,10 @@ def _run_campaign(spec: ExperimentSpec, policy: str, out_dir=None, jobs: int = 1
         manifest.sort(key=lambda e: (order[e["method"]], e["h"], e["n_sub"], e["repeat"]))
         store.write_manifest(manifest)
         _audit_rows(spec, manifest, store)
+        write_results_csv(store.root / "results.csv", rows, include_timings=timings)
+        write_mean_csv(store.root / "mean_rmse.csv", rows, value="rmse")
+        write_mean_csv(store.root / "mean_snr_db.csv", rows, value="snr_db")
+        (store.root / "spec.json").write_text(spec_to_json(spec) + "\n")
     return rows
 
 
@@ -437,16 +442,22 @@ def _audit_rows(spec: ExperimentSpec, manifest: list, store: "_ArtifactStore"):
             )
 
 
-def run_table1(spec: ExperimentSpec | None = None, out_dir=None, jobs: int = 1) -> list[ResultRow]:
-    """Paired-noise campaign over (hurst, subsampling factor) cells."""
+def run_table1(
+    spec: ExperimentSpec | None = None, out_dir=None, jobs: int = 1, timings: bool = False
+) -> list[ResultRow]:
+    """Run ``spec``, or :func:`table1_spec` if none is given. With ``out_dir``,
+    write there the store, manifest.json, results.csv (wall times only with
+    ``timings``), both mean CSVs and spec.json."""
     spec = spec if spec is not None else table1_spec()
-    return _run_campaign(spec, "paired", out_dir=out_dir, jobs=jobs)
+    return _run_campaign(spec, out_dir=out_dir, jobs=jobs, timings=timings)
 
 
-def run_table2(spec: ExperimentSpec | None = None, out_dir=None, jobs: int = 1) -> list[ResultRow]:
-    """Method-comparison campaign over (hurst, sample count) cells."""
+def run_table2(
+    spec: ExperimentSpec | None = None, out_dir=None, jobs: int = 1, timings: bool = False
+) -> list[ResultRow]:
+    """Run ``spec``, or :func:`table2_spec` if none is given; as :func:`run_table1`."""
     spec = spec if spec is not None else table2_spec()
-    return _run_campaign(spec, "independent", out_dir=out_dir, jobs=jobs)
+    return _run_campaign(spec, out_dir=out_dir, jobs=jobs, timings=timings)
 
 
 def mean_table(rows: list[ResultRow]) -> dict:
@@ -471,7 +482,7 @@ def write_results_csv(path, rows: list[ResultRow], include_timings: bool = False
     for r in rows:
         wall = f"{r.wall_time_s:.3f}" if include_timings else ""
         lines.append(
-            f"{r.method},{r.h:g},{r.n_sub},{r.seed},{r.rmse:.10e},{r.snr_db:.10e},{wall},{r.iterations}"
+            f"{r.method},{r.h!r},{r.n_sub},{r.seed},{r.rmse:.10e},{r.snr_db:.10e},{wall},{r.iterations}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -490,7 +501,7 @@ def write_mean_csv(path, rows: list[ResultRow], value: str = "rmse") -> None:
             for m in methods:
                 cell = means.get((m, h, n))
                 cells.append(f"{cell[value]:.6e}" if cell else "")
-        lines.append(",".join([f"{h:g}"] + cells))
+        lines.append(",".join([repr(h)] + cells))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -491,6 +491,45 @@ class TestBench:
         assert len(results) == 5
         assert "rmse=" in stdout
 
+    def test_spec_runs_the_same_under_either_campaign_name(self, capsys, tmp_path):
+        # the spec names its noise policy; the campaign name only picks the
+        # default spec, so a given spec runs alike under both names
+        spec = {
+            "grid": [16, 16], "hurst_values": [0.5, 0.5000001], "sample_counts": [64], "methods": ["box"], "repeats": 2,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        outputs = []
+        for campaign in ("table1", "table2"):
+            out_dir = tmp_path / campaign
+            code, stdout, _ = run_cli(capsys, "bench", campaign, "--out-dir", str(out_dir), "--spec", str(spec_path))
+            assert code == 0
+            files = {str(p.relative_to(out_dir)): p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+            outputs.append((files, stdout.splitlines()[:-1]))
+        assert outputs[0] == outputs[1]
+        files, table = outputs[0]
+        assert json.loads(files["spec.json"])["paired_noise"] is False
+        # two close hurst values keep two labels in the printed table
+        assert sorted({line.split()[1] for line in table}) == ["h=0.5", "h=0.5000001"]
+
+    @pytest.mark.parametrize("timings", [False, True])
+    def test_timings_fill_the_wall_time_column(self, capsys, tmp_path, timings):
+        spec = {"grid": [12, 12], "hurst_values": [0.5], "sample_counts": [30], "methods": ["box"], "repeats": 2}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out_dir = tmp_path / "b"
+        flags = ["--timings"] if timings else []
+        code, _, _ = run_cli(capsys, "bench", "table2", "--out-dir", str(out_dir), "--spec", str(spec_path), *flags)
+        assert code == 0
+        lines = (out_dir / "results.csv").read_text().splitlines()
+        column = lines[0].split(",").index("wall_time_s")
+        walls = [line.split(",")[column] for line in lines[1:]]
+        assert len(walls) == 2
+        if timings:
+            assert all(float(w) >= 0 for w in walls)
+        else:
+            assert walls == ["", ""]
+
     def test_spec_missing_required_key_exits_1(self, capsys, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(

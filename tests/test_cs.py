@@ -437,7 +437,7 @@ class TestTvEqualityBitIdentical:
     def test_default_table1_cell(self):
         # h = 0.8, subsampling factor 2, repeat 0
         spec = table1_spec()
-        truth, _ = _cell_truth(spec, "paired", spec.hurst_values.index(0.8), 0)
+        truth, _ = _cell_truth(spec, spec.hurst_values.index(0.8), 0)
         samples = subsample(truth, _repeat_masks(spec, 0)[spec.subsampling_factors.index(2)])
         out, info = tv_equality_reconstruct(samples, spec.equality)
         out_ref, info_ref = rolled_tv_equality_reconstruct(samples, spec.equality)
@@ -470,7 +470,7 @@ class TestTvEquality:
         # the default table1 cell (h=0.8, half sampling, repeat 0) runs to
         # the iteration cap, and the info says so
         spec = table1_spec()
-        truth, _ = _cell_truth(spec, "paired", spec.hurst_values.index(0.8), 0)
+        truth, _ = _cell_truth(spec, spec.hurst_values.index(0.8), 0)
         samples = subsample(truth, _repeat_masks(spec, 0)[0])
         _, info = tv_equality_reconstruct(samples, spec.equality)
         assert info["iterations"] == spec.equality.max_iters

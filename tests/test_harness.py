@@ -224,6 +224,7 @@ class TestSpecValidation:
             ("p", lambda v: ThinPlateConfig(p=v), (True, "0.5"), np.float32(0.5), "a number"),
             ("lambda", lambda v: TwistConfig(lam=v), (True, "0.25", 10**400), np.int64(1), "a number"),
             ("periodic", lambda v: SynthesisOptions(periodic=v), ("false", 0, None), np.False_, "a bool"),
+            ("paired_noise", lambda v: tiny_spec(paired_noise=v), ("true", 1), np.True_, "a bool"),
             ("grid", lambda v: tiny_spec(grid=v), (12, (12, 12, 12), "1212", None), [12, np.int64(12)], "a list of 2"),
             ("hurst_values", lambda v: tiny_spec(hurst_values=v), (0.5, "0.5", None), [0.5], "a list"),
             ("methods", lambda v: tiny_spec(methods=v), ("box", None), ["box"], "a list"),
@@ -244,7 +245,7 @@ class TestSpecValidation:
             ("equality", lambda v: tiny_spec(equality=v), ({}, None), EqualitySolverConfig(), "EqualitySolverConfig"),
         ],
         ids=[
-            "hurst_values", "target_rms", "thin_plate.p", "twist.lambda", "periodic", "grid",
+            "hurst_values", "target_rms", "thin_plate.p", "twist.lambda", "periodic", "paired_noise", "grid",
             "hurst_values-bare", "methods", "methods-item", "sample_counts", "subsampling_factors", "range_adjust",
             "synthesis", "boxcar", "thin_plate", "twist", "equality",
         ],
@@ -276,6 +277,7 @@ class TestDefaultSpecs:
         assert spec.counts == (2048, 1024)
         assert spec.methods == ("cs-tv",)
         assert not spec.synthesis.periodic
+        assert spec.paired_noise is True
 
     def test_method_comparison_shape(self):
         spec = table2_spec()
@@ -285,6 +287,7 @@ class TestDefaultSpecs:
         assert spec.methods == ("box", "tp", "cs-twist")
         assert spec.target_rms == 0.05
         assert spec.boxcar.window == 11
+        assert spec.paired_noise is False
 
     def test_overrides(self):
         spec = table2_spec(repeats=1, hurst_values=(0.7,))
@@ -316,6 +319,7 @@ FIELD_KINDS = [
     (None, "sample_counts", "sample_counts", (np.int64(30),), [30.0]),
     (None, "subsampling_factors", "subsampling_factors", (np.int16(2),), 2),
     (None, "target_rms", "target_rms", np.float32(0.05), "0.05"),
+    (None, "paired_noise", "paired_noise", np.True_, "true"),
     ("synthesis", "periodic", "periodic", np.False_, 0),
     ("boxcar", "window", "window", np.int64(5), 5.0),
     ("boxcar", "range_adjust", "range_adjust", None, False),
@@ -376,7 +380,7 @@ class TestSpecJson:
             "thin_plate": ["p"],
             "twist": ["lambda", "max_iters", "tv_inner_iters"],
         }
-        shared = ["base_seed", "grid", "hurst_values", "methods", "repeats", "target_rms", *sections]
+        shared = ["base_seed", "grid", "hurst_values", "methods", "paired_noise", "repeats", "target_rms", *sections]
         for spec, counts in ((table1_spec(), "subsampling_factors"), (table2_spec(), "sample_counts")):
             written = json.loads(spec_to_json(spec))
             assert sorted(written) == sorted([*shared, counts])
@@ -566,26 +570,26 @@ class TestCellStreams:
             _repeat_masks(tiny_spec(sample_counts=(200,)), rep=0)
 
     def test_paired_policy_shares_noise_across_hurst(self):
-        spec = tiny_spec()
-        _, seed_a = _cell_truth(spec, "paired", h_idx=0, rep=0)
-        _, seed_b = _cell_truth(spec, "paired", h_idx=1, rep=0)
+        spec = tiny_spec(paired_noise=True)
+        _, seed_a = _cell_truth(spec, h_idx=0, rep=0)
+        _, seed_b = _cell_truth(spec, h_idx=1, rep=0)
         assert seed_a == seed_b
 
     def test_independent_policy_differs_across_hurst(self):
         spec = tiny_spec()
-        _, seed_a = _cell_truth(spec, "independent", h_idx=0, rep=0)
-        _, seed_b = _cell_truth(spec, "independent", h_idx=1, rep=0)
+        _, seed_a = _cell_truth(spec, h_idx=0, rep=0)
+        _, seed_b = _cell_truth(spec, h_idx=1, rep=0)
         assert seed_a != seed_b
 
     def test_truth_deterministic(self):
         spec = tiny_spec()
-        f1, _ = _cell_truth(spec, "independent", 0, 0)
-        f2, _ = _cell_truth(spec, "independent", 0, 0)
+        f1, _ = _cell_truth(spec, 0, 0)
+        f2, _ = _cell_truth(spec, 0, 0)
         assert np.array_equal(f1, f2)
 
     def test_target_rms_applied(self):
-        spec = tiny_spec(target_rms=0.05)
-        f, _ = _cell_truth(spec, "paired", 0, 0)
+        spec = tiny_spec(target_rms=0.05, paired_noise=True)
+        f, _ = _cell_truth(spec, 0, 0)
         assert np.hypot(f.real, f.imag).mean() == pytest.approx(0.05 * np.sqrt(np.pi / 2), rel=0.3)
 
 
@@ -703,8 +707,8 @@ class TestCampaign:
         # a pool task pickles its result back to the campaign, which reads
         # reconstructions only to store them
         spec = tiny_spec(grid=(24, 24), hurst_values=(0.4, 0.6, 0.8), sample_counts=(100,), methods=("box", "tp"))
-        truths = np.stack([_cell_truth(spec, "independent", h, 0)[0] for h in range(3)])
-        seeds = [_cell_truth(spec, "independent", h, 0)[1] for h in range(3)]
+        truths = np.stack([_cell_truth(spec, h, 0)[0] for h in range(3)])
+        seeds = [_cell_truth(spec, h, 0)[1] for h in range(3)]
         mask = _repeat_masks(spec, 0)[0]
         task = (spec, ("box", "tp"), 0, mask, range(3), truths, seeds)
         kept, dropped = _run_cells(*task, True), _run_cells(*task, False)
@@ -749,7 +753,7 @@ class TestCampaign:
             twist=TwistConfig(max_iters=30),
         )
         (row,) = run_table2(spec)
-        truth, seed = _cell_truth(spec, "independent", 0, 0)
+        truth, seed = _cell_truth(spec, 0, 0)
         samples = subsample(truth, _repeat_masks(spec, 0)[0])
         direct = {
             p: twist_reconstruct(samples, spec.twist, periodic=p) for p in (True, False)
@@ -762,7 +766,7 @@ class TestCampaign:
         assert row.rmse != rmse(truth, direct[not periodic][0])
 
     def test_paired_campaign_shares_seed_across_hurst(self):
-        rows = run_table1(tiny_spec(sample_counts=None, subsampling_factors=(4,)))
+        rows = run_table1(tiny_spec(sample_counts=None, subsampling_factors=(4,), paired_noise=True))
         by_h = {}
         for r in rows:
             by_h.setdefault(r.h, set()).add(r.seed)
@@ -781,12 +785,17 @@ class TestCampaign:
 class TestPersistence:
     def test_manifest_and_store(self, tmp_path):
         spec = tiny_spec(hurst_values=(0.5,), repeats=1)
-        run_table2(spec, out_dir=tmp_path)
+        rows = run_table2(spec, out_dir=tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert len(manifest) == 2  # one cell, two methods
         blobs = {p.name for p in (tmp_path / "store").iterdir()}
         for entry in manifest:
             assert {entry["truth"], entry["mask"], entry["recon"]} <= blobs
+        # a library run writes the whole out-dir, as `cvfbm bench` does
+        names = {p.name for p in tmp_path.iterdir()}
+        assert names == {"store", "manifest.json", "results.csv", "mean_rmse.csv", "mean_snr_db.csv", "spec.json"}
+        assert spec_from_json((tmp_path / "spec.json").read_text()) == spec
+        assert len((tmp_path / "results.csv").read_text().splitlines()) == 1 + len(rows)
 
     def test_identical_artifacts_dedup(self, tmp_path):
         spec = tiny_spec(hurst_values=(0.5,), repeats=1)
@@ -977,6 +986,12 @@ class TestResultsOutput:
         lines = path.read_text().splitlines()
         assert lines[0] == "method,h,n_sub,seed,rmse,snr_db,wall_time_s,iterations"
         assert lines[1] == "box,0.8,500,1,2.0000000000e-01,1.0000000000e+01,,0"
+        # distinct hurst values keep distinct labels in both CSVs
+        close = [replace(hand_rows()[0], h=h) for h in (0.5, 0.5000001)]
+        write_results_csv(path, close)
+        assert [line.split(",")[1] for line in path.read_text().splitlines()[1:]] == ["0.5", "0.5000001"]
+        write_mean_csv(path, close)
+        assert [line.split(",")[0] for line in path.read_text().splitlines()[1:]] == ["0.5000001", "0.5"]
 
     def test_timings_column_opt_in(self, tmp_path):
         path = tmp_path / "results.csv"
