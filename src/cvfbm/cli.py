@@ -2,9 +2,11 @@
 
 Subcommands cover the full loop: synthesize a field, subsample it,
 reconstruct from the samples, score the reconstruction, run the benchmark
-campaigns, and inspect compressibility or PSF shapes. Usage errors exit
-with status 2 (argparse); numerical and I/O failures exit with status 1
-and a one-line JSON error on stderr.
+campaigns, and inspect compressibility or PSF shapes. A step writes only
+what a later one reads (eval, profile and star write no file) and prints a
+one-line JSON summary. Usage errors exit with status 2 (argparse);
+numerical and I/O failures exit with status 1 and a one-line JSON error on
+stderr.
 """
 
 from __future__ import annotations
@@ -18,14 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .cs import compressibility_diagnostics
-from .fileio import (
-    read_cvf1,
-    read_samples_csv,
-    write_cvf1,
-    write_mask_csv,
-    write_pgm,
-    write_samples_csv,
-)
+from .fileio import read_cvf1, read_samples_csv, write_cvf1, write_samples_csv
 from .grid import field_types
 from .harness import (
     METHODS,
@@ -55,13 +50,10 @@ def _emit(obj) -> None:
 
 
 def _cmd_synth(args) -> int:
-    field = synthesize_cvfbm(args.hurst, args.rows, args.cols, args.seed, periodic=not args.free_boundary)
+    field = synthesize_cvfbm(args.h, args.rows, args.cols, args.seed, periodic=not args.free_boundary)
     if args.target_rms is not None:
         field = normalize_dynamic_range(field, args.target_rms)
     write_cvf1(args.out, field)
-    if args.pgm is not None:
-        write_pgm(f"{args.pgm}.re.pgm", field.real)
-        write_pgm(f"{args.pgm}.im.pgm", field.imag)
     # null where the grid is too small for the slope fit
     slope = radial_spectrum_slope(field) if min(field.shape) >= MIN_SLOPE_GRID else None
     _emit(
@@ -69,7 +61,7 @@ def _cmd_synth(args) -> int:
             "out": str(args.out),
             "rows": args.rows,
             "cols": args.cols,
-            "h": args.hurst,
+            "h": args.h,
             "seed": args.seed,
             "rms": float(np.sqrt(np.mean(np.abs(field) ** 2))),
             "spectral_slope": slope,
@@ -89,8 +81,6 @@ def _cmd_sample(args) -> int:
     mask = random_mask(rows, cols, n, args.seed)
     samples = subsample(field, mask)
     write_samples_csv(args.out, samples)
-    if args.mask_out is not None:
-        write_mask_csv(args.mask_out, mask)
     _emit({"out": str(args.out), "n_sub": int(n), "rows": rows, "cols": cols})
     return 0
 
@@ -156,8 +146,6 @@ def _cmd_star(args) -> int:
     img = render_star(profile, args.e1, args.e2, args.size)
     q = brightness_moments(img)
     e_hat = ellipticity_from_moments(q, form=args.form)
-    if args.out is not None:
-        write_pgm(args.out, img)
     _emit(
         {
             "profile": args.profile,
@@ -179,8 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="synthesize a field and write it as CVF1")
-    p.add_argument("--h", "--hurst", dest="hurst", type=float, required=True,
-                   help="Hurst exponent in (0, 1)")
+    p.add_argument("--h", type=float, required=True, help="Hurst exponent in (0, 1)")
     p.add_argument("--rows", type=int, default=100)
     p.add_argument("--cols", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -191,13 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--target-rms", type=float, default=None)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument(
-        "--pgm",
-        type=Path,
-        default=None,
-        metavar="PREFIX",
-        help="also write PREFIX.re.pgm and PREFIX.im.pgm previews",
-    )
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("sample", help="draw a uniform random subsample from a field")
@@ -206,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factor", type=int, default=None, help="keep 1/factor of the grid")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--mask-out", type=Path, default=None)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("recon", help="reconstruct a field from scattered samples")
@@ -250,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=3.0)
     p.add_argument("--beta", type=float, default=3.0)
     p.add_argument("--form", choices=("squared", "standard"), default="squared")
-    p.add_argument("--out", type=Path, default=None, help="optional PGM preview")
     p.set_defaults(func=_cmd_star)
 
     return parser

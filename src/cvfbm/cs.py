@@ -370,6 +370,10 @@ def twist_reconstruct(
 
     x_old = op.adjoint(y)
     lam = cfg.lam if cfg.lam is not None else AUTO_LAMBDA_FACTOR * float(np.abs(x_old).max())
+    if not np.any(y):  # the zero field minimises at any lambda, even the automatic 0 tv_denoise refuses
+        info = {"iterations": 0, "lambda": lam, "objective": 0.0, "objective_trace": [0.0],
+                "data_residual": 0.0, "fixed_point_gap": 0.0, "converged": True}
+        return np.zeros((samples.rows, samples.cols), dtype=np.complex128), info
 
     # every iterate carries its data residual r = y - A x, computed once and
     # shared by its objective, the shrinkage step taken from it and the

@@ -1,4 +1,4 @@
-"""File formats: CVF1 binary fields, PGM dumps, sample/mask/results CSVs."""
+"""File formats: CVF1 binary fields, the samples CSV and the store's mask blobs."""
 
 from __future__ import annotations
 
@@ -13,10 +13,8 @@ from .grid import SampleSet, as_field
 __all__ = [
     "write_cvf1",
     "read_cvf1",
-    "write_pgm",
     "write_samples_csv",
     "read_samples_csv",
-    "write_mask_csv",
 ]
 
 _MAGIC = b"CVF1"
@@ -47,20 +45,6 @@ def write_cvf1(path, field) -> None:
 
 def read_cvf1(path) -> np.ndarray:
     return field_from_bytes(Path(path).read_bytes())
-
-
-def write_pgm(path, values) -> None:
-    """8-bit binary PGM with linear min-max scaling; flat input maps to mid-gray."""
-    a = np.asarray(values, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("PGM dump expects a 2D real array")
-    lo, hi = float(a.min()), float(a.max())
-    if hi > lo:
-        scaled = np.round((a - lo) / (hi - lo) * 255.0).astype(np.uint8)
-    else:
-        scaled = np.full(a.shape, 128, dtype=np.uint8)
-    header = f"P5\n{a.shape[1]} {a.shape[0]}\n255\n".encode()
-    Path(path).write_bytes(header + scaled.tobytes())
 
 
 def write_samples_csv(path, samples: SampleSet) -> None:
@@ -103,7 +87,3 @@ def mask_to_bytes(mask) -> bytes:
     """Bare row,col lines, one sampled position each."""
     pos = np.asarray(mask, dtype=np.int64).reshape(-1, 2)
     return "".join(f"{r},{c}\n" for r, c in pos.tolist()).encode()
-
-
-def write_mask_csv(path, mask) -> None:
-    Path(path).write_bytes(mask_to_bytes(mask))

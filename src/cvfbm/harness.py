@@ -17,7 +17,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -210,51 +210,43 @@ def table2_spec(**overrides) -> ExperimentSpec:
 SECTIONS = {f.name: type(f.default) for f in fields(ExperimentSpec) if is_dataclass(f.default)}
 
 
-def _section_from_json(section: str, cls, sub):
-    if not isinstance(sub, dict):
-        raise ValueError(f"{section} must be a JSON object")
+def _from_json(cls, raw, where: str = ""):
+    """Dataclass ``cls`` from JSON ``raw``: unknown keys refused, a dataclass-valued
+    field read by this same rule, every other value :func:`check`-ed. ``where``
+    names the object in errors: a section's key, or "" for the spec."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where or 'experiment spec'} must be a JSON object")
     by_key = {name: (attr, tp) for attr, tp, name in field_types(cls)}
-    bad = set(sub) - set(by_key)
-    if bad:
-        raise ValueError(f"unknown {section} keys: {sorted(bad)}")
+    unknown = set(raw) - set(by_key)
+    if unknown:
+        raise ValueError(f"unknown {where or 'spec'} keys: {sorted(unknown)}")
     kwargs = {}
-    for key, value in sub.items():
+    for key, value in raw.items():
         attr, tp = by_key[key]
-        kwargs[attr] = check(value, tp, f"{section}.{key}")
+        name = f"{where}.{key}" if where else key
+        kwargs[attr] = _from_json(tp, value, name) if is_dataclass(tp) else check(value, tp, name)
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in kwargs]
+    if missing:
+        raise ValueError(f"missing {where or 'spec'} keys: {missing}")
     return cls(**kwargs)
+
+
+def _to_json(obj) -> dict:
+    """The JSON object of dataclass ``obj`` that :func:`_from_json` reads back:
+    every field under its name, with null for an unset optional one."""
+    values = {name: getattr(obj, attr) for attr, _, name in field_types(type(obj))}
+    return {name: _to_json(v) if is_dataclass(v) else v for name, v in values.items()}
 
 
 def spec_from_json(text: str) -> ExperimentSpec:
     raw = json.loads(text)
-    if not isinstance(raw, dict):
-        raise ValueError("experiment spec must be a JSON object")
-    unknown = set(raw) - {f.name for f in fields(ExperimentSpec)}
-    if unknown:
-        raise ValueError(f"unknown spec keys: {sorted(unknown)}")
-
-    hints = {attr: tp for attr, tp, _ in field_types(ExperimentSpec)}
-    kwargs: dict = {}
-    for key, value in raw.items():
-        if key not in SECTIONS:
-            kwargs[key] = check(value, hints[key], key)
-        elif value is not None:
-            kwargs[key] = _section_from_json(key, SECTIONS[key], value)
-    if not kwargs:
+    if raw == {}:
         raise ValueError("experiment spec is empty")
-    missing = [f.name for f in fields(ExperimentSpec) if f.default is MISSING and f.name not in kwargs]
-    if missing:
-        raise ValueError(f"missing spec keys: {missing}")
-    return ExperimentSpec(**kwargs)
+    return _from_json(ExperimentSpec, raw)
 
 
 def spec_to_json(spec: ExperimentSpec) -> str:
-    d = asdict(spec)
-    for key in ("sample_counts", "subsampling_factors"):
-        if d[key] is None:
-            del d[key]
-    for section, cls in SECTIONS.items():
-        d[section] = {name: d[section][attr] for attr, _, name in field_types(cls)}
-    return json.dumps(d, indent=2, sort_keys=True)
+    return json.dumps(_to_json(spec), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

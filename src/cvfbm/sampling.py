@@ -41,6 +41,9 @@ def random_mask(rows: int, cols: int, n_sub: int, seed) -> np.ndarray:
     Deterministic in ``seed``; returned in canonical row-major order.
     """
     rows, cols, n_sub = check(rows, int, "rows"), check(cols, int, "cols"), check(n_sub, int, "n_sub")
+    seed = check(seed, int, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     return mask_from_draw(rows, cols, n_sub, lambda n: rng.choice(rows * cols, size=n, replace=False))
 

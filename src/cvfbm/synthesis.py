@@ -60,6 +60,9 @@ def synthesize_cvfbm(h: float, rows: int, cols: int, seed, periodic: bool = True
     boundary handling (e.g. mirror extension).
     """
     h, rows, cols = _check_args(h, rows, cols, "field")
+    seed = check(seed, int, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     if periodic:
         m, n = rows, cols

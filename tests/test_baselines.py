@@ -543,7 +543,7 @@ class TestThinPlateFastPaths:
             "read_cvf1", "read_samples_csv", "render_star", "rmse", "run_table1", "run_table2", "shear_coords",
             "snr_db", "spec_from_json", "spec_to_json", "subsample", "synthesize_cvfbm", "table1_spec",
             "table2_spec", "thin_plate_coefficients", "thin_plate_reconstruct", "tv_equality_reconstruct",
-            "twist_reconstruct", "write_cvf1", "write_mask_csv", "write_mean_csv", "write_pgm",
+            "twist_reconstruct", "write_cvf1", "write_mean_csv",
             "write_results_csv", "write_samples_csv",
         ]
         for module in modules:

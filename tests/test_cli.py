@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -54,6 +56,18 @@ class TestExitCodes:
         assert code == 1
         assert "exactly one" in json.loads(err.strip())["error"]
 
+    def test_negative_seed_exits_1_naming_it(self, capsys, tmp_path):
+        field_path = tmp_path / "f.cvf"
+        write_cvf1(field_path, np.ones((4, 4)))
+        for argv, out in (
+            (["synth", "--h", "0.5", "--rows", "16", "--cols", "16", "--seed", "-1"], tmp_path / "g.cvf"),
+            (["sample", "--field", str(field_path), "--n", "4", "--seed", "-1"], tmp_path / "s.csv"),
+        ):
+            code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+            assert code == 1 and stdout == ""
+            assert json.loads(err) == {"error": "seed must be non-negative, got -1"}
+            assert not out.exists()
+
     def test_zero_factor_exits_1(self, capsys, tmp_path):
         field_path = tmp_path / "f.cvf"
         write_cvf1(field_path, np.ones((4, 4), dtype=complex))
@@ -81,12 +95,6 @@ class TestSynth:
         assert field.shape == (32, 32)
         assert report["rms"] == pytest.approx(float(np.sqrt(np.mean(np.abs(field) ** 2))))
         assert -3.5 < report["spectral_slope"] < -1.0
-
-    def test_hurst_long_flag_alias(self, capsys, tmp_path):
-        a, b = tmp_path / "a.cvf", tmp_path / "b.cvf"
-        run_cli(capsys, "synth", "--h", "0.5", "--rows", "16", "--cols", "16", "--out", str(a))
-        run_cli(capsys, "synth", "--hurst", "0.5", "--rows", "16", "--cols", "16", "--out", str(b))
-        assert a.read_bytes() == b.read_bytes()
 
     def test_target_rms(self, capsys, tmp_path):
         out = tmp_path / "field.cvf"
@@ -119,37 +127,6 @@ class TestSynth:
             "--free-boundary", "--out", str(b),
         )
         assert not np.array_equal(read_cvf1(a), read_cvf1(b))
-
-    def test_pgm_previews(self, capsys, tmp_path):
-        code, _, _ = run_cli(
-            capsys,
-            "synth", "--h", "0.5", "--rows", "20", "--cols", "30",
-            "--out", str(tmp_path / "f.cvf"), "--pgm", str(tmp_path / "f"),
-        )
-        assert code == 0
-        re_img, im_img = (tmp_path / "f.re.pgm").read_bytes(), (tmp_path / "f.im.pgm").read_bytes()
-        header = b"P5\n30 20\n255\n"  # width before height
-        for img in (re_img, im_img):
-            assert img.startswith(header)
-            assert len(img) == len(header) + 20 * 30
-        assert re_img != im_img
-
-    def test_pgm_prefixes_with_dots_keep_their_full_names(self, capsys, tmp_path):
-        for h in ("0.8", "0.5"):
-            code, _, _ = run_cli(
-                capsys,
-                "synth", "--h", h, "--rows", "20", "--cols", "30",
-                "--out", str(tmp_path / f"h{h}.cvf"), "--pgm", str(tmp_path / f"h{h}"),
-            )
-            assert code == 0
-        names = ["h0.8.re.pgm", "h0.8.im.pgm", "h0.5.re.pgm", "h0.5.im.pgm"]
-        assert sorted(p.name for p in tmp_path.glob("*.pgm")) == sorted(names)
-        images = [(tmp_path / name).read_bytes() for name in names]
-        header = b"P5\n30 20\n255\n"
-        for img in images:
-            assert img.startswith(header)
-            assert len(img) == len(header) + 20 * 30
-        assert len(set(images)) == 4
 
     def test_grid_below_slope_minimum_reports_null_slope(self, capsys, tmp_path):
         out = tmp_path / "small.cvf"
@@ -195,15 +172,6 @@ class TestSampleAndRecon:
             capsys, "sample", "--field", str(path), "--factor", "4", "--out", str(out)
         )
         assert last_json(stdout)["n_sub"] == 64
-
-    def test_mask_out(self, capsys, tmp_path, field_file):
-        path, _ = field_file
-        run_cli(
-            capsys,
-            "sample", "--field", str(path), "--n", "10",
-            "--out", str(tmp_path / "s.csv"), "--mask-out", str(tmp_path / "m.csv"),
-        )
-        assert len((tmp_path / "m.csv").read_text().splitlines()) == 10
 
     def test_thin_plate_interpolates_samples(self, capsys, tmp_path, field_file):
         path, field = field_file
@@ -372,13 +340,33 @@ class TestSampleAndRecon:
             assert not (tmp_path / "r.cvf").exists()
 
     def test_retired_envelope_flag_exits_2(self, capsys, tmp_path):
-        # every field follows the one amplitude law
-        with pytest.raises(SystemExit) as info:
-            main(["synth", "--h", "0.5", "--rows", "8", "--cols", "8", "--envelope", "power",
-                  "--out", str(tmp_path / "f.cvf")])
-        assert info.value.code == 2
-        assert "--envelope" in capsys.readouterr().err
-        assert not (tmp_path / "f.cvf").exists()
+        # every field follows the one amplitude law, --h is the one spelling
+        # of the Hurst exponent, and a field is written as CVF1 only
+        for flags, named in (
+            (["--envelope", "power"], "--envelope"),
+            (["--hurst", "0.5"], "--hurst"),
+            (["--pgm", str(tmp_path / "f")], "--pgm"),
+        ):
+            with pytest.raises(SystemExit) as info:
+                main(["synth", "--h", "0.5", "--rows", "8", "--cols", "8", *flags, "--out", str(tmp_path / "f.cvf")])
+            assert info.value.code == 2
+            assert named in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == []
+
+    def test_retired_output_flags_exit_2(self, capsys, tmp_path, field_file):
+        # the samples CSV holds the mask as its row,col columns, and a star
+        # is reported, not drawn
+        path, _ = field_file
+        for argv, named in (
+            (["sample", "--field", str(path), "--n", "10", "--out", str(tmp_path / "s.csv"),
+              "--mask-out", str(tmp_path / "m.csv")], "--mask-out"),
+            (["star", "--e1", "0.1", "--out", str(tmp_path / "star.pgm")], "--out"),
+        ):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            assert named in capsys.readouterr().err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["truth.cvf"]
 
     @pytest.mark.parametrize("method", harness.METHODS)
     def test_nan_sample_rejected_up_front(self, capfd, tmp_path, method):
@@ -402,6 +390,23 @@ class TestSampleAndRecon:
         assert len(err.splitlines()) == 1
         assert "NaN" in json.loads(err)["error"]
         assert not (tmp_path / "r.cvf").exists()
+
+    @pytest.mark.parametrize("method", harness.METHODS)
+    def test_all_zero_samples_give_the_zero_field(self, capfd, tmp_path, method):
+        # the zero field fits zero data exactly; cs-twist's automatic lambda
+        # for it is 0, which must not reach tv_denoise
+        path = tmp_path / "s.csv"
+        path.write_text("row,col,e1,e2\n0,0,0.0,0.0\n1,5,0.0,0.0\n4,2,0.0,0.0\n7,6,0.0,0.0\n")
+        section, solve = harness.REGISTRY[method]
+        for periodic in (False, True):
+            field, _ = solve(read_samples_csv(path, 8, 8), harness.SECTIONS[section](), periodic=periodic)
+            assert np.array_equal(field, np.zeros((8, 8)))
+        code = main(
+            ["recon", "--samples", str(path), "--rows", "8", "--cols", "8",
+             "--method", method, "--out", str(tmp_path / "r.cvf")]
+        )
+        assert code == 0, capfd.readouterr().err
+        assert np.array_equal(read_cvf1(tmp_path / "r.cvf"), np.zeros((8, 8)))
 
     @pytest.mark.parametrize(
         "text, named",
@@ -660,11 +665,6 @@ class TestStarAndProfile:
         assert report["e2_out"] == pytest.approx(-0.1, abs=0.005)
         assert report["radius"] > 0
 
-    def test_star_writes_pgm(self, capsys, tmp_path):
-        out = tmp_path / "star.pgm"
-        run_cli(capsys, "star", "--e1", "0.1", "--out", str(out))
-        assert out.read_bytes().startswith(b"P5")
-
     def test_circular_star_reports_zero(self, capsys):
         _, stdout, _ = run_cli(capsys, "star")
         report = last_json(stdout)
@@ -681,13 +681,11 @@ class TestStarAndProfile:
             (["--e2=-inf"], "e2"),
         ],
     )
-    def test_non_finite_star_input_exits_1(self, capsys, tmp_path, argv, name):
-        out = tmp_path / "star.pgm"
-        code, stdout, err = run_cli(capsys, "star", "--out", str(out), *argv)
+    def test_non_finite_star_input_exits_1(self, capsys, argv, name):
+        code, stdout, err = run_cli(capsys, "star", *argv)
         assert code == 1 and stdout == ""
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == f"{name} must be finite"
-        assert not out.exists()
 
     def test_profile_diagnostics(self, capsys, tmp_path, field_file):
         path, _ = field_file
@@ -708,6 +706,24 @@ class TestStarAndProfile:
         assert code == 1 and out == "" and caught == []
         assert len(err.splitlines()) == 1
         assert "no decay to fit" in json.loads(err)["error"]
+
+
+class TestReadme:
+    def test_cli_examples_parse(self, capsys):
+        # every `cvfbm ...` line of the code blocks under README's CLI heading
+        # is parsed, and nothing runs: a flag the README shows but the CLI
+        # lacks exits 2 here
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        lines = "".join(re.findall(r"```\w*\n(.*?)```", section, re.S)).replace("\\\n", " ").splitlines()
+        examples = [shlex.split(line)[1:] for line in lines if line.startswith("cvfbm ")]
+        assert {argv[0] for argv in examples} == {"synth", "sample", "recon", "eval", "bench", "profile", "star"}
+        parser = build_parser()
+        for argv in examples:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README example does not parse: cvfbm {shlex.join(argv)}\n{capsys.readouterr().err}")
 
 
 class TestPackaging:

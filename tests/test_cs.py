@@ -571,6 +571,20 @@ class TestTwist:
         assert len(info["objective_trace"]) == info["iterations"] + 1
         assert info["converged"] is False
 
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_zero_data_gives_the_zero_field(self, periodic):
+        # the zero field minimises the objective at any lambda, so it is
+        # returned at once; zero data's automatic lambda is 0, a weight
+        # tv_denoise refuses
+        s = SampleSet(8, 8, [[0, 0], [1, 5], [4, 2], [7, 6]], np.zeros(4))
+        out, info = twist_reconstruct(s, periodic=periodic)
+        assert out.shape == (8, 8) and out.dtype == np.complex128 and not np.any(out)
+        _, usual = twist_reconstruct(SampleSet(8, 8, s.positions, np.ones(4)), TwistConfig(max_iters=2))
+        assert info.keys() == usual.keys()
+        assert info["iterations"] == 0 and info["converged"] is True
+        assert info["lambda"] == 0.0 and info["objective_trace"] == [0.0]
+        assert info["objective"] == info["data_residual"] == info["fixed_point_gap"] == 0.0
+
     def test_auto_lambda_reported(self):
         f = synthesize_cvfbm(0.7, 16, 16, 16)
         s = subsample(f, random_mask(16, 16, 64, seed=9))

@@ -8,8 +8,6 @@ from cvfbm import (
     read_cvf1,
     read_samples_csv,
     write_cvf1,
-    write_mask_csv,
-    write_pgm,
     write_samples_csv,
 )
 from cvfbm.fileio import field_from_bytes, field_to_bytes, mask_to_bytes
@@ -81,29 +79,6 @@ class TestFieldFormat:
             field_from_bytes(blob[:-8])
 
 
-class TestPgm:
-    def test_header_and_range(self, tmp_path):
-        img = np.linspace(0.0, 1.0, 12).reshape(3, 4)
-        path = tmp_path / "img.pgm"
-        write_pgm(path, img)
-        blob = path.read_bytes()
-        header, rest = blob.split(b"\n", 1)
-        assert header == b"P5"
-        dims, rest = rest.split(b"\n", 1)
-        assert dims == b"4 3"
-        maxval, pixels = rest.split(b"\n", 1)
-        assert maxval == b"255"
-        data = np.frombuffer(pixels, dtype=np.uint8)
-        assert data.min() == 0 and data.max() == 255
-        assert len(data) == 12
-
-    def test_flat_image_mid_gray(self, tmp_path):
-        path = tmp_path / "flat.pgm"
-        write_pgm(path, np.full((4, 4), 3.7))
-        pixels = np.frombuffer(path.read_bytes().rsplit(b"\n", 1)[1], dtype=np.uint8)
-        assert np.all(pixels == 128)
-
-
 class TestSamplesCsv:
     def test_round_trip(self, tmp_path):
         f = random_field(6, 6, seed=2)
@@ -141,10 +116,10 @@ class TestSamplesCsv:
 
 
 class TestMaskCsv:
-    def test_plain_pairs_no_header(self, tmp_path):
-        path = tmp_path / "mask.csv"
-        write_mask_csv(path, np.array([[0, 0], [2, 3], [4, 1]]))
-        assert path.read_text() == "0,0\n2,3\n4,1\n"
+    """The store's mask blobs (store/*.csv)."""
+
+    def test_plain_pairs_no_header(self):
+        assert mask_to_bytes(np.array([[0, 0], [2, 3], [4, 1]])) == b"0,0\n2,3\n4,1\n"
 
     def test_encoder_matches_per_row_format(self):
         rng = np.random.default_rng(4)
@@ -155,14 +130,5 @@ class TestMaskCsv:
         assert mask_to_bytes(mask) == expected
         assert mask_to_bytes(mask.tolist()) == expected
 
-    def test_empty_mask(self, tmp_path):
-        path = tmp_path / "mask.csv"
-        write_mask_csv(path, np.zeros((0, 2), dtype=np.int64))
+    def test_empty_mask(self):
         assert mask_to_bytes(np.zeros((0, 2), dtype=np.int64)) == b""
-        assert path.read_bytes() == b""
-
-    def test_file_holds_encoder_bytes(self, tmp_path):
-        path = tmp_path / "mask.csv"
-        mask = np.array([[99, 1000], [3, 45]])
-        write_mask_csv(path, mask)
-        assert path.read_bytes() == mask_to_bytes(mask) == b"99,1000\n3,45\n"

@@ -3,7 +3,7 @@ import pickle
 import re
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -30,7 +30,6 @@ from cvfbm import (
     table2_spec,
     twist_reconstruct,
     write_mean_csv,
-    write_pgm,
     write_results_csv,
 )
 from cvfbm import harness as harness_module
@@ -372,7 +371,8 @@ class TestSpecJson:
 
     def test_default_spec_keys(self):
         # the keys a default campaign writes to spec.json: a key removed or
-        # renamed here makes the spec.json of an earlier run fail to load
+        # renamed here makes the spec.json of an earlier run fail to load.
+        # Both count keys are written, the one not given as null
         sections = {
             "boxcar": ["range_adjust", "window"],
             "equality": ["max_iters"],
@@ -380,11 +380,28 @@ class TestSpecJson:
             "thin_plate": ["p"],
             "twist": ["lambda", "max_iters", "tv_inner_iters"],
         }
-        shared = ["base_seed", "grid", "hurst_values", "methods", "paired_noise", "repeats", "target_rms", *sections]
-        for spec, counts in ((table1_spec(), "subsampling_factors"), (table2_spec(), "sample_counts")):
+        keys = ["base_seed", "grid", "hurst_values", "methods", "paired_noise", "repeats", "sample_counts",
+                "subsampling_factors", "target_rms", *sections]
+        for spec, unset in ((table1_spec(), "sample_counts"), (table2_spec(), "subsampling_factors")):
             written = json.loads(spec_to_json(spec))
-            assert sorted(written) == sorted([*shared, counts])
+            assert sorted(written) == sorted(keys)
+            assert written[unset] is None
             assert {s: sorted(written[s]) for s in sections} == sections
+
+    def test_every_field_written(self):
+        # one rule for every field: its JSON name, null where it is unset
+        for spec in (table1_spec(), table2_spec(), tiny_spec()):
+            written = json.loads(spec_to_json(spec))
+            assert sorted(written) == sorted(f.name for f in fields(ExperimentSpec))
+            assert spec_from_json(spec_to_json(spec)) == spec
+        assert [written[k] for k in ("subsampling_factors", "target_rms")] == [None, None]
+        assert written["twist"]["lambda"] is None
+
+    @pytest.mark.parametrize("section", sorted(harness_module.SECTIONS))
+    def test_null_section_rejected(self, section):
+        # leaving a section out gives its defaults; null is no second spelling of that
+        with pytest.raises(ValueError, match=rf"^{section} must be a JSON object$"):
+            spec_from_json(json.dumps({**SMALL_SPEC, section: None}))
 
     @pytest.mark.parametrize(
         "make, stored",
@@ -1032,20 +1049,3 @@ class TestResultsOutput:
         hs = [float(l.split(",")[0]) for l in lines[1:]]
         assert hs == sorted(hs, reverse=True)
         assert sum(len(l.split(",")) - 1 for l in lines[1:]) == 54
-
-
-class TestFigureData:
-    def test_field_images(self, tmp_path):
-        # the re/im preview pair of a complex field, as `cvfbm synth --pgm` writes it
-        rng = np.random.default_rng(0)
-        f = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        paths = [tmp_path / "field.re.pgm", tmp_path / "field.im.pgm"]
-        for path, part in zip(paths, (f.real, f.imag)):
-            write_pgm(path, part)
-        header = b"P5\n8 8\n255\n"
-        for path, part in zip(paths, (f.real, f.imag)):
-            img = path.read_bytes()
-            assert img.startswith(header)
-            pixels = np.frombuffer(img[len(header):], dtype=np.uint8).reshape(8, 8)
-            assert pixels.flat[np.argmin(part)] == 0 and pixels.flat[np.argmax(part)] == 255
-        assert paths[0].read_bytes() != paths[1].read_bytes()

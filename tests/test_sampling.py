@@ -47,6 +47,21 @@ class TestRandomMask:
         assert np.array_equal(random_mask(8, 8, np.int64(3), seed=0), random_mask(8, 8, 3, seed=0))
 
     @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (-1, "seed must be non-negative, got -1"),
+            (2.0, "bad seed value 2.0: expected an integer"),
+            ("3", "bad seed value '3': expected an integer"),
+            (None, "bad seed value None: expected an integer"),
+        ],
+    )
+    def test_seed_of_another_kind_rejected(self, seed, message):
+        # -1 failed in numpy with an error that named no argument
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            random_mask(8, 8, 3, seed=seed)
+        assert np.array_equal(random_mask(8, 8, 3, seed=np.int64(5)), random_mask(8, 8, 3, seed=5))
+
+    @pytest.mark.parametrize(
         "rows, cols, name",
         [(8.0, 8, "rows"), (8, 8.5, "cols"), (True, 8, "rows"), (-2, -3, "rows"), (0, 0, "rows"), (8, 0, "cols")],
     )

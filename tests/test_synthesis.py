@@ -123,6 +123,21 @@ class TestSynthesize:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make(*args, 0) if make is synthesize_cvfbm else make(*args)
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (-1, "seed must be non-negative, got -1"),
+            (1.5, "bad seed value 1.5: expected an integer"),
+            (True, "bad seed value True: expected an integer"),
+            (None, "bad seed value None: expected an integer"),
+        ],
+    )
+    def test_seed_of_another_kind_rejected(self, seed, message):
+        # -1 failed in numpy with an error that named no argument
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            synthesize_cvfbm(0.5, 8, 8, seed)
+        assert np.array_equal(synthesize_cvfbm(0.5, 8, 8, np.uint64(2**64 - 1)), synthesize_cvfbm(0.5, 8, 8, 2**64 - 1))
+
     def test_numpy_arguments_accepted(self):
         want = synthesize_cvfbm(0.5, 8, 8, 0)
         assert np.array_equal(synthesize_cvfbm(np.float32(0.5), np.int64(8), np.int32(8), 0), want)
