@@ -162,11 +162,12 @@ def _cmd_star(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvfbm",
+        allow_abbrev=False,
         description="Synthesize, subsample, and reconstruct complex fractional Brownian fields.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="synthesize a field and write it as CVF1")
+    p = sub.add_parser("synth", allow_abbrev=False, help="synthesize a field and write it as CVF1")
     p.add_argument("--h", type=float, required=True, help="Hurst exponent in (0, 1)")
     p.add_argument("--rows", type=int, default=100)
     p.add_argument("--cols", type=int, default=100)
@@ -180,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("sample", help="draw a uniform random subsample from a field")
+    p = sub.add_parser("sample", allow_abbrev=False, help="draw a uniform random subsample from a field")
     p.add_argument("--field", type=Path, required=True)
     p.add_argument("--n", type=int, default=None, help="number of samples")
     p.add_argument("--factor", type=int, default=None, help="keep 1/factor of the grid")
@@ -188,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("recon", help="reconstruct a field from scattered samples")
+    p = sub.add_parser("recon", allow_abbrev=False, help="reconstruct a field from scattered samples")
     p.add_argument("--samples", type=Path, required=True)
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
@@ -202,12 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=None, help="iteration cap (default: the method's own)")
     p.set_defaults(func=_cmd_recon)
 
-    p = sub.add_parser("eval", help="score a reconstruction against the truth field")
+    p = sub.add_parser("eval", allow_abbrev=False, help="score a reconstruction against the truth field")
     p.add_argument("truth", type=Path)
     p.add_argument("recon", type=Path)
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("bench", help="run a benchmark campaign")
+    p = sub.add_parser("bench", allow_abbrev=False, help="run a benchmark campaign")
     p.add_argument("campaign", choices=("table1", "table2"))
     p.add_argument("--out-dir", type=Path, required=True)
     p.add_argument("--spec", type=Path, default=None, help="JSON experiment spec")
@@ -217,11 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("profile", help="report spectral compressibility diagnostics")
+    p = sub.add_parser("profile", allow_abbrev=False, help="report spectral compressibility diagnostics")
     p.add_argument("--field", type=Path, required=True)
     p.set_defaults(func=_cmd_profile)
 
-    p = sub.add_parser("star", help="render an elliptical PSF and report recovered moments")
+    p = sub.add_parser("star", allow_abbrev=False, help="render an elliptical PSF and report recovered moments")
     p.add_argument("--profile", choices=("gaussian", "moffat"), default="gaussian")
     p.add_argument("--e1", type=float, default=0.0)
     p.add_argument("--e2", type=float, default=0.0)
@@ -241,7 +242,3 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

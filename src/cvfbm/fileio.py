@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import SampleSet, as_field
+from .grid import SampleSet, as_field, as_positions
 
 __all__ = [
     "write_cvf1",
@@ -63,10 +63,9 @@ def read_samples_csv(path, rows: int, cols: int) -> SampleSet:
         header = next(reader, None)
         if header is None:
             raise ValueError("sample CSV line 1: empty file, expected header row,col,e1,e2")
-        names = [h.strip().lower() for h in header]
-        if names[:2] != ["row", "col"] or len(names) != 4:
+        if header[:2] != ["row", "col"] or len(header) != 4:
             raise ValueError(f"unexpected sample CSV header: {header}")
-        if names[2:] != ["e1", "e2"]:
+        if header[2:] != ["e1", "e2"]:
             raise ValueError(f"unexpected sample value columns: {header}")
         pos, vals = [], []
         for line in reader:
@@ -85,5 +84,4 @@ def read_samples_csv(path, rows: int, cols: int) -> SampleSet:
 
 def mask_to_bytes(mask) -> bytes:
     """Bare row,col lines, one sampled position each."""
-    pos = np.asarray(mask, dtype=np.int64).reshape(-1, 2)
-    return "".join(f"{r},{c}\n" for r, c in pos.tolist()).encode()
+    return "".join(f"{r},{c}\n" for r, c in as_positions(mask).tolist()).encode()

@@ -125,9 +125,38 @@ def check_fields(obj) -> None:
         object.__setattr__(obj, attr, check(getattr(obj, attr), tp, name))
 
 
+def grid_shape(rows, cols) -> tuple[int, int]:
+    """``rows`` and ``cols`` as Python ints; ValueError naming either unless an integer of at least 1."""
+    for name, n in (("rows", rows), ("cols", cols)):
+        if check(n, int, name) < 1:
+            raise ValueError(f"{name} must be at least 1, got {n}")
+    return int(rows), int(cols)
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """numpy's default generator for ``seed``; ValueError unless a non-negative integer."""
+    seed = check(seed, int, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
+
+
+def as_positions(positions) -> np.ndarray:
+    """Integer (row, col) pairs of shape (n, 2) as an int64 array; ValueError naming them if of another form.
+
+    An empty sequence is no position. A flat list, a (2, n) transpose, floats and bools are never re-read.
+    """
+    pos = np.asarray(positions)
+    if pos.shape in ((0,), (0, 2)):
+        return np.empty((0, 2), dtype=np.int64)
+    if pos.ndim != 2 or pos.shape[1] != 2 or pos.dtype.kind not in "iu":
+        raise ValueError(f"positions must be integer pairs of shape (n, 2), got {pos.dtype} of shape {pos.shape}")
+    return pos.astype(np.int64, copy=False)
+
+
 def flat_positions(positions, rows: int, cols: int) -> np.ndarray:
-    """Row-major flat indices of (row, col) positions; ValueError unless in bounds and distinct."""
-    pos = np.asarray(positions, dtype=np.int64).reshape(-1, 2)
+    """Row-major flat indices of :func:`as_positions` pairs; ValueError unless in bounds and distinct."""
+    pos = as_positions(positions)
     if len(pos) and (pos.min() < 0 or pos[:, 0].max() >= rows or pos[:, 1].max() >= cols):
         raise ValueError(f"position out of bounds for a {rows}x{cols} grid")
     flat = pos[:, 0] * cols + pos[:, 1]
@@ -139,9 +168,9 @@ def flat_positions(positions, rows: int, cols: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Scattered known values on a grid: positions (n, 2) int and values (n,).
+    """Scattered known values on a grid: positions (n, 2) int64 and values (n,) complex.
 
-    Positions are (row, col) pairs, unique and in bounds; values are finite.
+    Positions are read by :func:`as_positions`, unique and in bounds; values are one-dimensional and finite.
     Order is significant: it fixes the layout of measurement vectors.
     """
 
@@ -151,20 +180,18 @@ class SampleSet:
     values: np.ndarray
 
     def __post_init__(self):
-        for name in ("rows", "cols"):
-            n = check(getattr(self, name), int, name)
-            if n < 1:
-                raise ValueError(f"{name} must be at least 1, got {n}")
-            object.__setattr__(self, name, n)
-        pos = np.asarray(self.positions, dtype=np.int64).reshape(-1, 2)
-        val = np.asarray(self.values, dtype=np.complex128).reshape(-1)
+        rows, cols = grid_shape(self.rows, self.cols)
+        pos = as_positions(self.positions)
+        val = np.asarray(self.values, dtype=np.complex128)
+        if val.ndim != 1:
+            raise ValueError(f"sample values must be one-dimensional, got shape {val.shape}")
         if len(pos) != len(val):
             raise ValueError("positions and values differ in length")
-        flat_positions(pos, self.rows, self.cols)
+        flat_positions(pos, rows, cols)
         if not np.isfinite(val).all():
             raise ValueError("sample values contain NaN or Inf")
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "values", val)
+        for name, value in (("rows", rows), ("cols", cols), ("positions", pos), ("values", val)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.values)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import SampleSet, as_field, check, flat_positions
+from .grid import SampleSet, as_field, check, flat_positions, grid_shape, seeded_rng
 
 __all__ = [
     "random_mask",
@@ -25,9 +25,7 @@ def mask_from_draw(rows: int, cols: int, n: int, draw) -> np.ndarray:
     ``draw`` is called only once n is known to lie in [1, rows*cols]; its
     distinct indices are sorted into canonical row-major order.
     """
-    for name, side in (("rows", rows), ("cols", cols)):
-        if side < 1:
-            raise ValueError(f"{name} must be at least 1, got {side}")
+    rows, cols = grid_shape(rows, cols)
     total = rows * cols
     if not 1 <= n <= total:
         raise ValueError(f"sample count {n} out of range [1, {total}] for a {rows}x{cols} grid")
@@ -40,11 +38,8 @@ def random_mask(rows: int, cols: int, n_sub: int, seed) -> np.ndarray:
 
     Deterministic in ``seed``; returned in canonical row-major order.
     """
-    rows, cols, n_sub = check(rows, int, "rows"), check(cols, int, "cols"), check(n_sub, int, "n_sub")
-    seed = check(seed, int, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
+    n_sub = check(n_sub, int, "n_sub")
+    rng = seeded_rng(seed)
     return mask_from_draw(rows, cols, n_sub, lambda n: rng.choice(rows * cols, size=n, replace=False))
 
 
@@ -72,7 +67,7 @@ class MeasurementOperator:
     def __init__(self, rows: int, cols: int, mask, mode: str = "selection"):
         if mode not in ("selection", "partial_fourier"):
             raise ValueError(f"unknown operator mode {mode!r}")
-        self.rows, self.cols = check(rows, int, "rows"), check(cols, int, "cols")
+        self.rows, self.cols = grid_shape(rows, cols)
         self._flat = flat_positions(mask, self.rows, self.cols)
         if len(self._flat) == 0:
             raise ValueError("empty mask")
@@ -124,9 +119,9 @@ class MeasurementOperator:
         return self._forward(x).copy()
 
     def adjoint(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=np.complex128).reshape(-1)
-        if len(y) != len(self._flat):
-            raise ValueError("measurement vector length mismatch")
+        y = np.asarray(y, dtype=np.complex128)
+        if y.shape != self._values.shape:
+            raise ValueError(f"measurement vector of shape {y.shape}, expected {self._values.shape}")
         if not np.isfinite(y).all():
             raise ValueError("field contains NaN or Inf")
         return self._adjoint(y).copy()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import as_field, check, dft2, idft2, radial_sq, take_quadrant
+from .grid import as_field, check, dft2, idft2, radial_sq, seeded_rng, take_quadrant
 
 __all__ = [
     "synthesize_cvfbm",
@@ -60,10 +60,7 @@ def synthesize_cvfbm(h: float, rows: int, cols: int, seed, periodic: bool = True
     boundary handling (e.g. mirror extension).
     """
     h, rows, cols = _check_args(h, rows, cols, "field")
-    seed = check(seed, int, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     if periodic:
         m, n = rows, cols
     else:

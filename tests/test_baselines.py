@@ -109,6 +109,10 @@ class TestBoxcar:
         with pytest.raises(ValueError):
             BoxcarConfig(window=4)
 
+    def test_unknown_range_adjust_rejected(self):
+        with pytest.raises(ValueError, match="^unknown range_adjust 'median'$"):
+            BoxcarConfig(range_adjust="median")
+
     def test_empty_samples_rejected(self):
         s = make_samples(4, 4, np.zeros((0, 2)), [])
         with pytest.raises(ValueError):
@@ -295,6 +299,11 @@ class TestThinPlate:
         s = make_samples(6, 6, [[0, 0], [1, 1], [2, 2], [3, 3]], [1.0, 2.0, 3.0, 4.0])
         with pytest.raises(ValueError):
             thin_plate_reconstruct(s, ThinPlateConfig(p=1.0))
+
+    def test_fewer_than_three_samples_rejected(self):
+        s = make_samples(6, 6, [[0, 0], [3, 4]], [1.0, 2.0])
+        with pytest.raises(ValueError, match="^thin-plate fit needs at least 3 samples$"):
+            thin_plate_coefficients(s, ThinPlateConfig(p=1.0))
 
     def test_p_out_of_range_rejected(self):
         with pytest.raises(ValueError):

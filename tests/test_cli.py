@@ -417,8 +417,14 @@ class TestSampleAndRecon:
             ("row,col,e1,e2\n0,0,1.0,0.5\n0,1,1.0,abc\n", "line 3: could not convert string to float: 'abc'"),
             ("row,col,e1,e2\n1.5,2,0.5,0.1\n", "line 2: invalid literal for int() with base 10: '1.5'"),
             ("row,col,re,im\n0,0,1.5,-2.5\n", "unexpected sample value columns"),
+            ("x,y,e1,e2\n0,0,1.5,-2.5\n", "unexpected sample CSV header"),
+            (" ROW , Col,E1 ,e2\n0,0,1.5,-2.5\n", "unexpected sample CSV header"),
+            ("row,col,E1 ,e2\n0,0,1.5,-2.5\n", "unexpected sample value columns"),
         ],
-        ids=["empty", "three-fields", "five-fields", "non-numeric-value", "float-row", "re-im-header"],
+        ids=[
+            "empty", "three-fields", "five-fields", "non-numeric-value", "float-row", "re-im-header",
+            "x-y-header", "spaced-upper-case-header", "spaced-upper-case-value-columns",
+        ],
     )
     def test_malformed_samples_csv_exits_1(self, capfd, tmp_path, text, named):
         path = tmp_path / "s.csv"
@@ -432,6 +438,37 @@ class TestSampleAndRecon:
         assert len(err.splitlines()) == 1
         assert named in json.loads(err)["error"]
         assert not (tmp_path / "r.cvf").exists()
+
+
+class TestFlagSpelling:
+    # each long flag has one spelling: argparse's prefix matching would read
+    # every unambiguous prefix as the flag itself
+    @pytest.mark.parametrize(
+        "argv, flag, prefix",
+        [
+            (["synth", "--h", "0.5", "--free-boundary", "--out", "f.cvf"], "--free-boundary", "--free"),
+            (["sample", "--field", "f.cvf", "--n", "4", "--seed", "3", "--out", "s.csv"], "--seed", "--se"),
+            (["recon", "--samples", "s.csv", "--rows", "8", "--cols", "8", "--method", "tp", "--out", "r.cvf",
+              "--diagnostics", "d.json"], "--diagnostics", "--diag"),
+            (["eval", "t.cvf", "r.cvf", "--help"], "--help", "--he"),
+            (["bench", "table2", "--out-dir", "x", "--timings"], "--timings", "--tim"),
+            (["profile", "--field", "f.cvf"], "--field", "--fie"),
+            (["star", "--profile", "moffat"], "--profile", "--prof"),
+        ],
+        ids=["synth", "sample", "recon", "eval", "bench", "profile", "star"],
+    )
+    def test_flag_prefix_exits_2(self, capsys, argv, flag, prefix):
+        parser = build_parser()
+        if flag == "--help":
+            with pytest.raises(SystemExit) as info:
+                parser.parse_args(argv)
+            assert info.value.code == 0
+        else:
+            parser.parse_args(argv)
+        with pytest.raises(SystemExit) as info:
+            parser.parse_args([prefix if a == flag else a for a in argv])
+        assert info.value.code == 2
+        assert prefix in capsys.readouterr().err
 
 
 class TestEval:

@@ -287,6 +287,21 @@ class TestSolverConfigsRejectNonFinite:
             TwistConfig(**{field: value})
 
 
+class TestSolverConfigsRejectIterationCaps:
+    @pytest.mark.parametrize(
+        "config, name, message",
+        [
+            (EqualitySolverConfig, "max_iters", "max_iters must be positive"),
+            (TwistConfig, "max_iters", "max_iters must be positive"),
+            (TwistConfig, "tv_inner_iters", "tv_inner_iters must be at least 1"),
+        ],
+        ids=["equality-max_iters", "twist-max_iters", "twist-tv_inner_iters"],
+    )
+    def test_zero_rejected(self, config, name, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            config(**{name: 0})
+
+
 class TestBasisPursuit:
     def test_full_sampling_reproduces_field(self):
         f = random_field(8, 8, seed=7)
@@ -584,6 +599,26 @@ class TestTwist:
         assert info["iterations"] == 0 and info["converged"] is True
         assert info["lambda"] == 0.0 and info["objective_trace"] == [0.0]
         assert info["objective"] == info["data_residual"] == info["fixed_point_gap"] == 0.0
+
+    def test_climbing_first_step_keeps_the_start(self, monkeypatch):
+        # the first shrinkage step is replaced by the start point when it
+        # raises the objective; only the first tv_denoise call here returns a
+        # worse point (scaled far off the data), later ones are the real map
+        calls = []
+
+        def worse_first(x, weight, iters):
+            calls.append(iters)
+            out = tv_denoise(x, weight, iters=iters)
+            return 10.0 * out if len(calls) == 1 else out
+
+        monkeypatch.setattr(cs_module, "tv_denoise", worse_first)
+        f = synthesize_cvfbm(0.7, 16, 16, 18)
+        out, info = twist_reconstruct(subsample(f, random_mask(16, 16, 64, seed=11)), TwistConfig(max_iters=20))
+        trace = info["objective_trace"]
+        assert len(calls) > 1
+        assert trace[1] == trace[0]
+        assert all(b <= a for a, b in zip(trace, trace[1:]))
+        assert np.all(np.isfinite(out))
 
     def test_auto_lambda_reported(self):
         f = synthesize_cvfbm(0.7, 16, 16, 16)

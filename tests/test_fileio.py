@@ -105,6 +105,13 @@ class TestSamplesCsv:
         with pytest.raises(ValueError, match="NaN or Inf"):
             read_samples_csv(path, 2, 2)
 
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_text("row,col,e1,e2\n0,0,1.0,2.0\n\n1,1,0.5,-0.5\n\n")
+        s = read_samples_csv(path, 2, 2)
+        assert s.positions.tolist() == [[0, 0], [1, 1]]
+        assert s.values.tolist() == [1.0 + 2.0j, 0.5 - 0.5j]
+
     def test_values_exact_through_text(self, tmp_path):
         # repr round-trips doubles exactly
         rng = np.random.default_rng(3)

@@ -184,6 +184,28 @@ class TestSampleSet:
         s = SampleSet(np.int64(8), np.int32(8), [[0, 0]], [1.0])
         assert (type(s.rows), type(s.cols)) == (int, int)
 
+    @pytest.mark.parametrize(
+        "positions",
+        [[], np.empty((0, 2)), np.empty(0, dtype=np.int64), [[0, 1], [2, 3]], np.array([[0, 1], [2, 3]], dtype=np.uint8)],
+        ids=["empty-list", "empty-float-pairs", "empty-int", "nested-list", "uint8"],
+    )
+    def test_accepted_position_forms_stored_as_int64(self, positions):
+        s = SampleSet(4, 4, positions, np.ones(len(positions)))
+        assert s.positions.dtype == np.int64 and s.positions.shape == (len(positions), 2)
+        assert np.array_equal(s.positions, np.reshape(positions, (-1, 2)))
+
+    @pytest.mark.parametrize("shape", [(2, 1), (1, 2), ()], ids=["column", "row", "scalar"])
+    def test_values_of_another_shape_rejected(self, shape):
+        # two values as a column or a row were flattened, and one position
+        # with a scalar value was read as a one-sample set
+        positions = [[0, 1], [2, 3]] if shape else [[0, 1]]
+        with pytest.raises(ValueError, match=re.escape(f"sample values must be one-dimensional, got shape {shape}")):
+            SampleSet(4, 4, positions, np.ones(shape))
+
+    def test_positions_and_values_of_different_length_rejected(self):
+        with pytest.raises(ValueError, match="^positions and values differ in length$"):
+            SampleSet(4, 4, [[0, 1], [2, 3]], [1.0])
+
 
 class TestFlatPositions:
     @pytest.mark.parametrize("pos", [[[-1, 0]], [[0, -1]], [[3, 0]], [[0, 5]]])

@@ -101,6 +101,18 @@ class TestRadialProfile:
         with pytest.raises(ValueError, match=f"^bad {name} value"):
             RadialProfile(**{name: value})
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"scale": 0.0}, "scale must be positive"),
+            ({"kind": "moffat", "beta": 1.0}, "moffat beta must exceed 1"),
+        ],
+        ids=["scale", "moffat-beta"],
+    )
+    def test_out_of_range_parameter_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RadialProfile(**kwargs)
+
     def test_numpy_parameters_stored_as_floats(self):
         profile = RadialProfile("moffat", scale=np.float32(2.5), beta=np.int64(3))
         assert (profile.scale, profile.beta) == (2.5, 3.0)
@@ -134,6 +146,10 @@ class TestBrightnessMoments:
     def test_zero_flux_rejected(self):
         with pytest.raises(ValueError):
             brightness_moments(np.zeros((5, 5)))
+
+    def test_image_of_another_rank_rejected(self):
+        with pytest.raises(ValueError, match="^image must be 2D$"):
+            brightness_moments(np.ones(3))
 
     def test_negative_intensity_rejected(self):
         img = np.ones((5, 5))
@@ -220,6 +236,14 @@ class TestEllipticityFromMoments:
         e = ellipticity_from_moments(q, form="standard")
         assert e.real == pytest.approx(1.0 / (3.0 + 2.0 * np.sqrt(2.0)), rel=1e-12)
         assert e.imag == 0.0
+
+    @pytest.mark.parametrize("form", ["squared", "standard"])
+    def test_one_pixel_star_rejected(self, form):
+        # all its moments are 0, so both denominators are 0
+        img = np.zeros((3, 3))
+        img[1, 1] = 1.0
+        with pytest.raises(ValueError, match="^non-positive moment denominator$"):
+            ellipticity_from_moments(brightness_moments(img), form=form)
 
     def test_unknown_form_rejected(self):
         with pytest.raises(ValueError):

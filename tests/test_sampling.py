@@ -5,11 +5,13 @@ import pytest
 
 from cvfbm import (
     MeasurementOperator,
+    SampleSet,
     dft2,
     idft2,
     random_mask,
     subsample,
 )
+from cvfbm.fileio import mask_to_bytes
 
 
 def random_field(rows, cols, seed=0):
@@ -120,6 +122,35 @@ class TestSubsample:
         assert len(s) == 0 and s.positions.shape == (0, 2)
 
 
+class TestPositionForm:
+    # each of these was read as some other set of positions: the flat list
+    # and the (2, n) transpose re-paired, the floats truncated and the bools
+    # read as 0 and 1, so A selected other cells than the caller named
+    @pytest.mark.parametrize(
+        "positions",
+        [
+            [0, 1, 2, 3, 4, 5],
+            np.array([[0, 1], [2, 3], [4, 5]]).T,
+            np.array([[2.7, 3.2], [1.0, 0.0]]),
+            np.array([[True, False], [False, True]]),
+        ],
+        ids=["flat-list", "transpose", "float", "bool"],
+    )
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda pos: SampleSet(8, 8, pos, np.ones(np.size(pos) // 2)),
+            lambda pos: subsample(np.zeros((8, 8)), pos),
+            lambda pos: MeasurementOperator(8, 8, pos),
+            mask_to_bytes,
+        ],
+        ids=["SampleSet", "subsample", "MeasurementOperator", "mask_to_bytes"],
+    )
+    def test_other_forms_rejected(self, build, positions):
+        with pytest.raises(ValueError, match=r"^positions must be integer pairs of shape \(n, 2\), got "):
+            build(positions)
+
+
 class TestMeasurementOperator:
     def test_selection_full_mask_flattens(self):
         f = random_field(3, 4, seed=5)
@@ -178,11 +209,17 @@ class TestMeasurementOperator:
         with pytest.raises(ValueError, match=message):
             MeasurementOperator(4, 4, mask, mode=mode)
 
-    @pytest.mark.parametrize("rows, cols, name", [(8.5, 8, "rows"), (8, 8.0, "cols"), (8, False, "cols")])
+    @pytest.mark.parametrize(
+        "rows, cols, name", [(8.5, 8, "rows"), (8, 8.0, "cols"), (8, False, "cols"), (0, 8, "rows"), (8, -1, "cols")]
+    )
     def test_shape_of_another_kind_rejected(self, rows, cols, name):
-        # int() truncated 8.5 to 8 and built an 8x8 operator
+        # int() truncated 8.5 to 8 and built an 8x8 operator; a side below 1
+        # was refused only as a position out of bounds
         bad = rows if name == "rows" else cols
-        with pytest.raises(ValueError, match=f"^bad {name} value {bad!r}: expected an integer$"):
+        expected = f"{name} must be at least 1, got {bad}"
+        if type(bad) is not int:
+            expected = f"bad {name} value {bad!r}: expected an integer"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             MeasurementOperator(rows, cols, [[0, 0], [1, 1]])
         op = MeasurementOperator(np.int64(8), np.int16(8), [[0, 0], [1, 1]])
         assert (type(op.rows), type(op.cols)) == (int, int)
@@ -193,6 +230,14 @@ class TestMeasurementOperator:
             op.forward(random_field(5, 5))
         with pytest.raises(ValueError):
             op.adjoint(np.ones(4, dtype=complex))
+        # the right number of values in another shape was flattened
+        for shape in ((5, 1), (1, 5)):
+            with pytest.raises(ValueError, match=re.escape(f"measurement vector of shape {shape}, expected (5,)")):
+                op.adjoint(np.ones(shape, dtype=complex))
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="^unknown operator mode 'dense'$"):
+            MeasurementOperator(4, 4, [[0, 0]], mode="dense")
 
 
 class TestMeasurementOperatorPlainFormulas:

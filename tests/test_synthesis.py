@@ -123,6 +123,12 @@ class TestSynthesize:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make(*args, 0) if make is synthesize_cvfbm else make(*args)
 
+    @pytest.mark.parametrize("make, what", [(synthesize_cvfbm, "field"), (spectral_envelope, "envelope")])
+    @pytest.mark.parametrize("rows, cols", [(1, 8), (8, 1)])
+    def test_grid_below_two_by_two_rejected(self, make, what, rows, cols):
+        with pytest.raises(ValueError, match=f"^{what} needs at least a 2x2 grid$"):
+            make(0.5, rows, cols, 0) if make is synthesize_cvfbm else make(0.5, rows, cols)
+
     @pytest.mark.parametrize(
         "seed, message",
         [
