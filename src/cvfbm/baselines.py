@@ -205,6 +205,16 @@ def _anchors(positions: np.ndarray) -> np.ndarray:
     return np.array([i1, i2, i3])
 
 
+def _chunks(total: int, step: int) -> list:
+    """(lo, hi) row ranges of at most step + 15 rows that cover range(total),
+    a tail shorter than 16 rows folded into the chunk before it: BLAS may take
+    another kernel for a few rows, and the bits would then depend on step."""
+    bounds = list(range(0, total, step))
+    if len(bounds) > 1 and total - bounds[-1] < 16:
+        bounds.pop()
+    return list(zip(bounds, bounds[1:] + [total]))
+
+
 def _reduced_system(table, cols, row, col, diag, left, right) -> list:
     """M = K_rr + diag*I + left @ right as the block columns of its lower triangle.
 
@@ -220,16 +230,16 @@ def _reduced_system(table, cols, row, col, diag, left, right) -> list:
         _SYSTEM_BUFFER = np.empty(0)  # drop the old buffer before allocating
         _SYSTEM_BUFFER = np.empty(sum(sizes))
     step = max(1, _BLOCK_ENTRIES // (3 * _PANEL))
-    buffers = [np.empty(step * _PANEL, dtype=t) for t in (np.intp, np.intp, float)]
+    buffers = [np.empty((step + 16) * _PANEL, dtype=t) for t in (np.intp, np.intp, float)]
     blocks, end = [], 0
     for a, size in zip(range(0, m, _PANEL), sizes):
         blk = _SYSTEM_BUFFER[end : end + size].reshape(m - a, -1)
         end += size
         w = blk.shape[1]
-        for lo in range(0, m - a, step):
-            out = blk[lo : lo + step]
+        for lo, hi in _chunks(m - a, step):
+            out = blk[lo:hi]
             idx, dc, low = (buf[: out.size].reshape(out.shape) for buf in buffers)
-            rows = slice(a + lo, a + lo + len(out))
+            rows = slice(a + lo, a + hi)
             _phi_block(table, cols, row[rows], col[rows], row[a : a + w], col[a : a + w], idx, dc, out)
             out += np.matmul(left[rows], right[:, a : a + w], out=low)
         blk[np.arange(w), np.arange(w)] += diag
@@ -243,8 +253,8 @@ def _cholesky(blocks) -> None:
     times X^T give L there, and their outer product is subtracted from the
     later block columns, a chunk of rows at a time through one buffer.
     """
-    work = np.empty(_BLOCK_ENTRIES)
     step = _BLOCK_ENTRIES // _PANEL
+    work = np.empty((step + 16) * _PANEL)
     for j, blk in enumerate(blocks):
         w = blk.shape[1]
         try:
@@ -252,15 +262,15 @@ def _cholesky(blocks) -> None:
         except np.linalg.LinAlgError:
             raise ValueError("thin-plate system is singular") from None
         panel = blk[w:]
-        for lo in range(0, len(panel), step):
-            rows = panel[lo : lo + step]
+        for lo, hi in _chunks(len(panel), step):
+            rows = panel[lo:hi]
             rows[...] = np.matmul(rows, blk[:w].T, out=work[: rows.size].reshape(rows.shape))
         for k, later in enumerate(blocks[j + 1 :]):
             below = panel[k * _PANEL :]  # the panel's rows of block column j + 1 + k
-            for lo in range(0, len(later), step):
-                rows = later[lo : lo + step]
+            for lo, hi in _chunks(len(later), step):
+                rows = later[lo:hi]
                 prod = work[: rows.size].reshape(rows.shape)
-                rows -= np.matmul(below[lo : lo + step], below[: later.shape[1]].T, out=prod)
+                rows -= np.matmul(below[lo:hi], below[: later.shape[1]].T, out=prod)
 
 
 def _cholesky_solve(blocks, b: np.ndarray) -> None:

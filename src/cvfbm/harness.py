@@ -18,6 +18,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, fields, is_dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -313,18 +314,17 @@ def _run_cells(spec: ExperimentSpec, methods: tuple, nsub_idx: int, mask, hs: ra
     return cells
 
 
-def _run_repeat(
-    spec: ExperimentSpec, rep: int, pool, store, truths: np.ndarray, recons: np.ndarray | None
-) -> tuple[list, list]:
+def _run_repeat(spec: ExperimentSpec, rep: int, pool, store, truths: np.ndarray) -> tuple[list, list]:
     """Run one repeat's cells: (result rows, manifest entries).
 
     The repeat's truths (one per h) and masks (one per count) are built once.
     Each mask runs one task per group of _task_groups, in the pool or
-    serially (see _run_cells). Truths are copied into the
-    campaign's ``truths`` buffer, which every repeat overwrites. With a store,
-    reconstructions are copied into its ``recons`` buffer likewise (without
-    one, nothing reads them, recons is None and the tasks drop them), and
-    every truth, mask and reconstruction is stored before return.
+    serially (see _run_cells). Truths are copied into the campaign's
+    ``truths`` buffer, which every repeat overwrites. With a store, each
+    distinct truth and mask is stored once and each reconstruction as its
+    task comes back, so a repeat holds its truths and the fields of the task
+    in flight; a repeat that raises unlinks the blobs it wrote. Without a
+    store nothing reads reconstructions and the tasks drop them.
     """
     hs = range(len(spec.hurst_values))
     seeds = []
@@ -339,47 +339,47 @@ def _run_repeat(
         for methods, g in _task_groups(spec)
     ]
     args = zip(*tasks)  # map takes one iterable per argument
-    done = (pool.map if pool is not None else map)(_run_cells, *args)
-    rows, made = [], []
-    for cells in done:
-        for key, recon, row in cells:
-            if recons is not None:
-                recons[len(rows)] = recon
-            rows.append(row)
-            made.append(key)
+    done = chain.from_iterable((pool.map if pool is not None else map)(_run_cells, *args))
     if store is None:
-        return rows, []
-    # each distinct truth and mask is encoded, hashed and stored once
-    truth_names = [store.put_field(truth) for truth in truths]
-    mask_names = [store.put_mask(mask) for mask in masks]
-    manifest = [
-        {
-            "method": method,
-            "h": row.h,
-            "n_sub": row.n_sub,
-            "repeat": rep,
-            "seed": row.seed,
-            "truth": truth_names[h_idx],
-            "mask": mask_names[nsub_idx],
-            "recon": store.put_field(recon),
-            "rmse": row.rmse,
-        }
-        for (h_idx, nsub_idx, method), row, recon in zip(made, rows, recons)
-    ]
+        return [row for _, _, row in done], []
+    rows, manifest = [], []
+    store.written = []  # the blobs this repeat writes, unlinked if it raises
+    try:
+        truth_names = [store.put_field(truth) for truth in truths]
+        mask_names = [store.put_mask(mask) for mask in masks]
+        for (h_idx, nsub_idx, method), recon, row in done:
+            rows.append(row)
+            manifest.append(
+                {
+                    "method": method,
+                    "h": row.h,
+                    "n_sub": row.n_sub,
+                    "repeat": rep,
+                    "seed": row.seed,
+                    "truth": truth_names[h_idx],
+                    "mask": mask_names[nsub_idx],
+                    "recon": store.put_field(recon),
+                    "rmse": row.rmse,
+                }
+            )
+    except BaseException:
+        for path in store.written:
+            path.unlink()
+        raise
     return rows, manifest
 
 
 def _run_campaign(spec: ExperimentSpec, out_dir=None, jobs: int = 1, timings: bool = False):
     # the campaign runs one repeat at a time and keeps only result rows and
-    # manifest entries across repeats, so its peak holds one repeat's fields
-    # whatever the number of repeats. Under --jobs one pool serves every
-    # repeat, with no more workers than a repeat has tasks (serial for one).
-    # manifest.json (then audited), the CSVs and spec.json are written only
-    # once every repeat has run; the blobs of earlier repeats survive a failure.
-    # Each repeat's fields go into the same two buffers: fields freed at every
-    # repeat's end would be trimmed from the heap and faulted back in by the
-    # next, at a cost that shifts with the heap's layout from run to run. Only
-    # the store reads reconstructions, so without one they are not kept
+    # manifest entries across repeats, so its peak holds one repeat's truths
+    # and the fields of the task in flight whatever the number of repeats.
+    # Under --jobs one pool serves every repeat, with no more workers than a
+    # repeat has tasks (serial for one). manifest.json (then audited), the
+    # CSVs and spec.json are written only once every repeat has run; the
+    # blobs of earlier repeats survive a failure. Each repeat's truths go into
+    # the same buffer: fields freed at every repeat's end would be trimmed
+    # from the heap and faulted back in by the next, at a cost that shifts
+    # with the heap's layout from run to run
     jobs = check(jobs, int, "jobs")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
@@ -387,14 +387,11 @@ def _run_campaign(spec: ExperimentSpec, out_dir=None, jobs: int = 1, timings: bo
     rows, manifest = [], []
     nh = len(spec.hurst_values)
     truths = np.empty((nh, *spec.grid), dtype=np.complex128)
-    recons = None
-    if store is not None:
-        recons = np.empty((nh * len(spec.counts) * len(spec.methods), *spec.grid), dtype=np.complex128)
     workers = min(jobs, len(spec.counts) * len(_task_groups(spec)))
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         try:
             for rep in range(spec.repeats):
-                rep_rows, entries = _run_repeat(spec, rep, pool, store, truths, recons)
+                rep_rows, entries = _run_repeat(spec, rep, pool, store, truths)
                 rows += rep_rows
                 manifest += entries
         finally:
@@ -504,12 +501,14 @@ class _ArtifactStore:
         self.root = Path(out_dir)
         self.store = self.root / "store"
         self.store.mkdir(parents=True, exist_ok=True)
+        self.written = []  # paths of the blobs _put wrote since the list was last reset
 
     def _put(self, blob: bytes, ext: str) -> str:
         key = hashlib.sha256(blob).hexdigest()[:20]
         path = self.store / f"{key}{ext}"
         if not path.exists():
             path.write_bytes(blob)
+            self.written.append(path)
         return key + ext
 
     def put_field(self, field) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import SampleSet, as_field, check, flat_positions, grid_shape, seeded_rng
+from .grid import SampleSet, as_field, as_positions, check, flat_positions, grid_shape, seeded_rng
 
 __all__ = [
     "random_mask",
@@ -46,8 +46,10 @@ def random_mask(rows: int, cols: int, n_sub: int, seed) -> np.ndarray:
 def subsample(field, mask) -> SampleSet:
     """Read the field values at mask positions, in mask order."""
     f = as_field(field)
-    flat = flat_positions(mask, *f.shape)
-    return SampleSet(f.shape[0], f.shape[1], mask, f.ravel()[flat])
+    pos = as_positions(mask)
+    # SampleSet checks the positions once; until then one out of bounds reads a clipped index
+    flat = pos[:, 0] * f.shape[1] + pos[:, 1]
+    return SampleSet(f.shape[0], f.shape[1], pos, np.take(f.ravel(), flat, mode="clip"))
 
 
 class MeasurementOperator:

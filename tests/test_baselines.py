@@ -696,6 +696,19 @@ class TestThinPlateReducedSystem:
         factor_l = np.tril(factor_l)
         assert np.max(np.abs(factor_l @ factor_l.T - dense)) <= 1e-13 * np.max(np.abs(dense))
 
+    # a short tail chunk is folded into the chunk before it, so no row chunk
+    # takes the few-row BLAS kernel and the bits do not depend on where the
+    # block size puts chunk boundaries
+    @pytest.mark.parametrize("rows, cols, n", [(37, 211, 900), (211, 37, 900), (64, 64, 772)])
+    def test_coefficients_independent_of_block_size(self, rows, cols, n, monkeypatch):
+        s = subsample(synthesize_cvfbm(0.8, rows, cols, 1), random_mask(rows, cols, n, seed=0))
+        fits = []
+        for entries in (2**15, 2**17):
+            monkeypatch.setattr(baselines, "_BLOCK_ENTRIES", entries)
+            monkeypatch.setattr(baselines, "_SYSTEM_MEMO", {})
+            fits.append(thin_plate_coefficients(s))
+        assert_same_bits(*fits)
+
     @pytest.mark.parametrize("rows, cols, n", [(30, 30, 50), (100, 100, 2000), (4, 4000, 300), (4000, 4, 300)])
     def test_anchors_are_extreme_and_weights_bounded(self, rows, cols, n):
         pos = random_mask(rows, cols, n, seed=n)

@@ -11,6 +11,7 @@ from cvfbm import (
     random_mask,
     subsample,
 )
+from cvfbm import grid, sampling
 from cvfbm.fileio import mask_to_bytes
 
 
@@ -120,6 +121,22 @@ class TestSubsample:
     def test_empty_mask_gives_empty_samples(self):
         s = subsample(random_field(4, 4), np.zeros((0, 2), dtype=np.int64))
         assert len(s) == 0 and s.positions.shape == (0, 2)
+
+    def test_positions_checked_once(self, monkeypatch):
+        # the bounds check and the sort for repeats run once per call
+        calls = []
+        checked = grid.flat_positions
+
+        def counted(*args):
+            calls.append(1)
+            return checked(*args)
+
+        monkeypatch.setattr(grid, "flat_positions", counted)
+        monkeypatch.setattr(sampling, "flat_positions", counted)
+        f = random_field(6, 6)
+        s = subsample(f, random_mask(6, 6, 20, seed=1))
+        assert len(calls) == 1
+        assert np.array_equal(s.values, f[s.positions[:, 0], s.positions[:, 1]])
 
 
 class TestPositionForm:
